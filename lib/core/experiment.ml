@@ -128,45 +128,52 @@ type figure6_row = {
   backtrack : measurement;
 }
 
+(* Mean-of-means over per-network measurements, folded in the given
+   (network) order: the [Summary.add] order fixes the rows' bits. *)
+let summarize ms =
+  let failed_s = Summary.create () and hops_s = Summary.create () and path_s = Summary.create () in
+  List.iter
+    (fun m ->
+      Summary.add failed_s m.failed_fraction;
+      if not (Float.is_nan m.mean_hops) then begin
+        Summary.add hops_s m.mean_hops;
+        Summary.add path_s m.mean_path_hops
+      end)
+    ms;
+  {
+    failed_fraction = Summary.mean failed_s;
+    mean_hops = Summary.mean hops_s;
+    hops_ci95 = Summary.ci95_halfwidth hops_s;
+    mean_path_hops = Summary.mean path_s;
+    messages = List.fold_left (fun acc m -> acc + m.messages) 0 ms;
+  }
+
+(* One figure 6 network: build an overlay, fail [fraction] of its nodes,
+   then route the identical traffic under each strategy in turn (the
+   paper's variance-reduction pairing). All draws come from [rng]. *)
+let figure6_network ~n ~links ~messages ~fraction rng =
+  let net = Network.build_ideal ~n ~links rng in
+  let mask = Failure.random_node_fraction rng ~n ~fraction in
+  let failures = Failure.of_node_mask mask in
+  let pairs = random_live_pairs rng failures ~n ~messages in
+  List.map
+    (fun strategy -> measure ~failures ~strategy ~pairs ~messages ~rng net)
+    [ Route.Terminate; Route.Random_reroute { attempts = 1 }; Route.Backtrack { history = 5 } ]
+
+(* [per_network] holds each network's strategy list, in network order. *)
+let figure6_row fraction per_network =
+  let strategy si = summarize (List.map (fun ms -> List.nth ms si) per_network) in
+  { fail_fraction = fraction; terminate = strategy 0; reroute = strategy 1; backtrack = strategy 2 }
+
 let figure6 ?(n = 1 lsl 15) ?links ?(networks = 10) ?(messages = 100)
     ?(fractions = [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8 ]) ~seed () =
   let links = match links with Some l -> l | None -> int_of_float (Theory.lg n) in
   let rng = Rng.of_int seed in
   List.map
     (fun fraction ->
-      let accum = Array.init 3 (fun _ -> (Summary.create (), Summary.create (), Summary.create ())) in
-      for _ = 1 to networks do
-        let net_rng = Rng.split rng in
-        let net = Network.build_ideal ~n ~links net_rng in
-        let mask = Failure.random_node_fraction net_rng ~n ~fraction in
-        let failures = Failure.of_node_mask mask in
-        let pairs = random_live_pairs net_rng failures ~n ~messages in
-        List.iteri
-          (fun si strategy ->
-            let m = measure ~failures ~strategy ~pairs ~messages ~rng:net_rng net in
-            let failed_s, hops_s, path_s = accum.(si) in
-            Summary.add failed_s m.failed_fraction;
-            if not (Float.is_nan m.mean_hops) then begin
-              Summary.add hops_s m.mean_hops;
-              Summary.add path_s m.mean_path_hops
-            end)
-          [
-            Route.Terminate;
-            Route.Random_reroute { attempts = 1 };
-            Route.Backtrack { history = 5 };
-          ]
-      done;
-      let result si =
-        let failed_s, hops_s, path_s = accum.(si) in
-        {
-          failed_fraction = Summary.mean failed_s;
-          mean_hops = Summary.mean hops_s;
-          hops_ci95 = Summary.ci95_halfwidth hops_s;
-          mean_path_hops = Summary.mean path_s;
-          messages = networks * messages;
-        }
-      in
-      { fail_fraction = fraction; terminate = result 0; reroute = result 1; backtrack = result 2 })
+      figure6_row fraction
+        (List.init networks (fun _ ->
+             figure6_network ~n ~links ~messages ~fraction (Rng.split rng))))
     fractions
 
 (* ------------------------------------------------------------------ *)
@@ -398,32 +405,15 @@ let sweep_backtrack_history ?(n = 1 lsl 14) ?links ?(fraction = 0.5)
   let rng = Rng.of_int seed in
   List.map
     (fun history ->
-      let failed = Summary.create () and hops = Summary.create () and path = Summary.create () in
-      for _ = 1 to networks do
-        let r = Rng.split rng in
-        let net = Network.build_ideal ~n ~links r in
-        let mask = Failure.random_node_fraction r ~n ~fraction in
-        let failures = Failure.of_node_mask mask in
-        let m =
-          measure ~failures ~strategy:(Route.Backtrack { history }) ~messages ~rng:r net
-        in
-        Summary.add failed m.failed_fraction;
-        if not (Float.is_nan m.mean_hops) then begin
-          Summary.add hops m.mean_hops;
-          Summary.add path m.mean_path_hops
-        end
-      done;
-      {
-        history;
-        result =
-          {
-            failed_fraction = Summary.mean failed;
-            mean_hops = Summary.mean hops;
-            hops_ci95 = Summary.ci95_halfwidth hops;
-            mean_path_hops = Summary.mean path;
-            messages = networks * messages;
-          };
-      })
+      let per_network =
+        List.init networks (fun _ ->
+            let r = Rng.split rng in
+            let net = Network.build_ideal ~n ~links r in
+            let mask = Failure.random_node_fraction r ~n ~fraction in
+            let failures = Failure.of_node_mask mask in
+            measure ~failures ~strategy:(Route.Backtrack { history }) ~messages ~rng:r net)
+      in
+      { history; result = summarize per_network })
     histories
 
 (* Extension: line vs circle at matched parameters (Section 7: "the line
@@ -609,23 +599,11 @@ let figure5_par ?(replacement = Heuristic.Proportional) ?(networks = 10) ?jobs ~
 let figure6_par ?(n = 1 lsl 15) ?links ?(networks = 10) ?(messages = 100)
     ?(fractions = [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8 ]) ?jobs ~seed () =
   let links = match links with Some l -> l | None -> int_of_float (Theory.lg n) in
-  (* One job per (fraction, network): builds its own overlay, failure mask
-     and traffic, then routes the identical traffic under all three
-     strategies (the paper's variance-reduction pairing). *)
+  (* One job per (fraction, network), each on its own seed stream. *)
   let sweep =
     Sweep.create
       ~run:(fun ~index:_ ~rng (fraction, _net) ->
-        let net = Network.build_ideal ~n ~links rng in
-        let mask = Failure.random_node_fraction rng ~n ~fraction in
-        let failures = Failure.of_node_mask mask in
-        let pairs = random_live_pairs rng failures ~n ~messages in
-        List.map
-          (fun strategy -> measure ~failures ~strategy ~pairs ~messages ~rng net)
-          [
-            Route.Terminate;
-            Route.Random_reroute { attempts = 1 };
-            Route.Backtrack { history = 5 };
-          ])
+        figure6_network ~n ~links ~messages ~fraction rng)
       (Sweep.grid2 fractions (List.init networks Fun.id))
   in
   let results = Sweep.run ?jobs ~seed sweep in
@@ -633,29 +611,7 @@ let figure6_par ?(n = 1 lsl 15) ?links ?(networks = 10) ?(messages = 100)
      folding them in index order keeps the output jobs-invariant. *)
   List.mapi
     (fun fi fraction ->
-      let accum = Array.init 3 (fun _ -> (Summary.create (), Summary.create (), Summary.create ())) in
-      for k = 0 to networks - 1 do
-        List.iteri
-          (fun si m ->
-            let failed_s, hops_s, path_s = accum.(si) in
-            Summary.add failed_s m.failed_fraction;
-            if not (Float.is_nan m.mean_hops) then begin
-              Summary.add hops_s m.mean_hops;
-              Summary.add path_s m.mean_path_hops
-            end)
-          results.((fi * networks) + k)
-      done;
-      let result si =
-        let failed_s, hops_s, path_s = accum.(si) in
-        {
-          failed_fraction = Summary.mean failed_s;
-          mean_hops = Summary.mean hops_s;
-          hops_ci95 = Summary.ci95_halfwidth hops_s;
-          mean_path_hops = Summary.mean path_s;
-          messages = networks * messages;
-        }
-      in
-      { fail_fraction = fraction; terminate = result 0; reroute = result 1; backtrack = result 2 })
+      figure6_row fraction (List.init networks (fun k -> results.((fi * networks) + k))))
     fractions
 
 let table1_grid ?jobs ?(ns = [ 256; 1024; 4096; 16384 ]) ?(big = 1 lsl 14) ?(networks = 4)

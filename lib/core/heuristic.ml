@@ -1,6 +1,8 @@
 module IntSet = Set.Make (Int)
 module Rng = Ftr_prng.Rng
 module Sample = Ftr_prng.Sample
+module Csr = Ftr_graph.Adjacency.Csr
+module I32 = Ftr_graph.Adjacency.I32
 
 type replacement = Proportional | Oldest
 
@@ -16,6 +18,13 @@ let nearest_present present w =
   | Some b, None -> Some b
   | None, Some a -> Some a
   | Some b, Some a -> if w - b <= a - w then Some b else Some a
+
+(* Both constructions stream their rows into a [Csr.Builder] in node
+   order, then assemble through the validating [Network.of_flat]. *)
+let append_sorted_row b row =
+  let arr = Array.of_list row in
+  Array.sort Int.compare arr;
+  Csr.Builder.append_row b arr ~len:(Array.length arr)
 
 let build ?(exponent = 1.0) ?(replacement = Proportional) ?(arrival = Random_order) ~n ~links rng
     =
@@ -144,15 +153,14 @@ let build ?(exponent = 1.0) ?(replacement = Proportional) ?(arrival = Random_ord
       end
     done
   done;
-  let neighbors =
-    Array.init n (fun v ->
-        let immediate = (if v > 0 then [ v - 1 ] else []) @ if v < n - 1 then [ v + 1 ] else [] in
-        let arr = Array.of_list (List.rev_append immediate (Array.to_list long.(v))) in
-        Array.sort Int.compare arr;
-        arr)
-  in
-  Network.of_neighbor_indices ~line_size:n ~positions:(Array.init n (fun i -> i)) ~neighbors
-    ~links ()
+  let b = Csr.Builder.create ~edges_hint:(n * (links + 2)) ~n () in
+  for v = 0 to n - 1 do
+    let immediate = (if v > 0 then [ v - 1 ] else []) @ if v < n - 1 then [ v + 1 ] else [] in
+    append_sorted_row b (List.rev_append immediate (Array.to_list long.(v)))
+  done;
+  Network.of_flat ~geometry:Network.Line ~line_size:n
+    ~positions:(I32.of_int_array (Array.init n Fun.id))
+    ~adj:(Csr.Builder.finish b) ~links ()
 
 let length_distribution net =
   let n = Network.line_size net in
@@ -218,42 +226,40 @@ let repair ?(exponent = 1.0) ~alive net rng =
     in
     attempt 0
   in
-  let neighbors =
-    Array.mapi
-      (fun new_i old_i ->
-        let pos = Network.position net old_i in
-        (* Ring links to the nearest survivors. *)
-        let immediate =
-          (if new_i > 0 then [ new_i - 1 ] else [])
-          @ if new_i < m - 1 then [ new_i + 1 ] else []
-        in
-        let long = ref [] in
-        (* Skip the old ring links — the first occurrence of each adjacent
-           index; later duplicates are genuine long links. The new ring
-           above replaces them. *)
-        let seen_left = ref false and seen_right = ref false in
-        Network.iter_neighbors net old_i (fun v ->
-            let is_ring =
-              (v = old_i - 1 && (not !seen_left)
-              &&
-              (seen_left := true;
-               true))
-              || v = old_i + 1
-                 && (not !seen_right)
-                 &&
-                 (seen_right := true;
-                  true)
-            in
-            if not is_ring then
-              if alive v then long := index_of.(v) :: !long
-              else long := sample_live_index ~src_pos:pos ~self:new_i :: !long);
-        let arr = Array.of_list (List.rev_append immediate !long) in
-        Array.sort Int.compare arr;
-        arr)
-      live
-  in
-  Network.of_neighbor_indices
+  (* Rows stream out in survivor order; the RNG draws for dead links
+     happen inside this loop, so the order is part of the output. *)
+  let b = Csr.Builder.create ~edges_hint:(Csr.edge_count (Network.csr net)) ~n:m () in
+  Array.iteri
+    (fun new_i old_i ->
+      let pos = Network.position net old_i in
+      (* Ring links to the nearest survivors. *)
+      let immediate =
+        (if new_i > 0 then [ new_i - 1 ] else []) @ if new_i < m - 1 then [ new_i + 1 ] else []
+      in
+      let long = ref [] in
+      (* Skip the old ring links — the first occurrence of each adjacent
+         index; later duplicates are genuine long links. The new ring
+         above replaces them. *)
+      let seen_left = ref false and seen_right = ref false in
+      Network.iter_neighbors net old_i (fun v ->
+          let is_ring =
+            (v = old_i - 1 && (not !seen_left)
+            &&
+            (seen_left := true;
+             true))
+            || v = old_i + 1
+               && (not !seen_right)
+               &&
+               (seen_right := true;
+                true)
+          in
+          if not is_ring then
+            if alive v then long := index_of.(v) :: !long
+            else long := sample_live_index ~src_pos:pos ~self:new_i :: !long);
+      append_sorted_row b (List.rev_append immediate !long))
+    live;
+  Network.of_flat
     ~geometry:(Network.geometry net)
     ~line_size
-    ~positions:(Array.map (Network.position net) live)
-    ~neighbors ~links:(Network.links net) ()
+    ~positions:(I32.of_int_array (Array.map (Network.position net) live))
+    ~adj:(Csr.Builder.finish b) ~links:(Network.links net) ()

@@ -185,10 +185,11 @@ let check_positions ~line_size positions =
       invalid_arg "Network: positions must be strictly increasing"
   done
 
-(* Assemble from already-flat parts — the snapshot loader's entry point.
-   [validate] (default true) runs the full structural check; pass false
-   only for trusted in-process parts (the builders below, which establish
-   the invariants by construction and re-check under FTR_CHECK). *)
+(* Assemble from already-flat parts — the snapshot loader's and the
+   Section 5 heuristic's entry point. [validate] (default true) runs the
+   full structural check; pass false only for trusted in-process parts
+   (the builders below, which establish the invariants by construction
+   and re-check under FTR_CHECK). *)
 let of_flat ?(validate = true) ~geometry ~line_size ~positions ~adj ~links () =
   if I32.length positions <> Csr.size adj then
     invalid_arg "Network.of_flat: positions/adjacency size mismatch";
@@ -212,22 +213,6 @@ let make ~geometry ~line_size ~positions ~rows ~links =
       adj = Csr.of_rows rows;
       links;
     }
-
-let of_neighbor_indices ?(geometry = Line) ~line_size ~positions ~neighbors ~links () =
-  let n = Array.length positions in
-  if Array.length neighbors <> n then
-    invalid_arg "Network.of_neighbor_indices: positions/neighbors length mismatch";
-  Array.iteri
-    (fun i p ->
-      if p < 0 || p >= line_size then invalid_arg "Network.of_neighbor_indices: position off line";
-      if i > 0 && positions.(i - 1) >= p then
-        invalid_arg "Network.of_neighbor_indices: positions must be strictly increasing")
-    positions;
-  Array.iter
-    (Array.iter (fun j ->
-         if j < 0 || j >= n then invalid_arg "Network.of_neighbor_indices: neighbor out of range"))
-    neighbors;
-  make ~geometry ~line_size ~positions ~rows:neighbors ~links
 
 (* Draw a long-distance target for the node at position [src]: a point [v]
    distinct from [src] with Pr[v] proportional to 1/d(src,v)^exponent,

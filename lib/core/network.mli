@@ -110,18 +110,6 @@ val index_of_position : t -> position:int -> int option
 val to_adjacency : t -> Ftr_graph.Adjacency.t
 (** View as a directed graph over node indices. *)
 
-val of_neighbor_indices :
-  ?geometry:geometry ->
-  line_size:int ->
-  positions:int array ->
-  neighbors:int array array ->
-  links:int ->
-  unit ->
-  t
-(** Escape hatch for custom constructions (used by the Section 5 heuristic
-    and by tests). Validates ranges and ordering; default geometry is the
-    line. @raise Invalid_argument on malformed input. *)
-
 val of_flat :
   ?validate:bool ->
   geometry:geometry ->
@@ -131,11 +119,12 @@ val of_flat :
   links:int ->
   unit ->
   t
-(** Assemble a network from already-flat parts without copying — the
-    snapshot loader's entry point. [validate] (default true) runs the full
-    structural check (CSR invariants with sorted rows, positions strictly
-    increasing and on the grid); pass [false] only for parts produced
-    in-process by a trusted builder.
+(** Assemble a network from already-flat parts without copying — the one
+    public constructor for custom networks (the snapshot loader, the
+    Section 5 heuristic, test fixtures). [validate] (default true) runs
+    the full structural check (CSR invariants with sorted rows, positions
+    strictly increasing and on the grid); pass [false] only for parts
+    produced in-process by a trusted builder.
     @raise Invalid_argument on malformed input. *)
 
 val build_ideal : ?exponent:float -> n:int -> links:int -> Ftr_prng.Rng.t -> t

@@ -1,5 +1,4 @@
 module Engine = Ftr_sim.Engine
-module Trace = Ftr_sim.Trace
 module Rng = Ftr_prng.Rng
 module Sample = Ftr_prng.Sample
 
@@ -38,7 +37,6 @@ type pending_request = {
 
 type t = {
   engine : Engine.t;
-  trace : Trace.t;
   rng : Rng.t;
   latency : Ftr_sim.Latency.t;
   line_size : int;
@@ -53,8 +51,7 @@ type t = {
   mutable tick : int;
 }
 
-let create ?latency ?latency_model ?(ttl = 256) ?(regenerate = true) ?(trace = Trace.create ())
-    ~line_size ~links ~rng engine =
+let create ?latency ?latency_model ?(ttl = 256) ?(regenerate = true) ~line_size ~links ~rng engine =
   if line_size < 2 then invalid_arg "Overlay.create: line_size must be >= 2";
   if links < 1 then invalid_arg "Overlay.create: links must be >= 1";
   let latency =
@@ -67,7 +64,6 @@ let create ?latency ?latency_model ?(ttl = 256) ?(regenerate = true) ?(trace = T
   in
   {
     engine;
-    trace;
     rng;
     latency;
     line_size;
@@ -246,8 +242,6 @@ let rec lookup_step t ~at ~target ~request ~hops =
   match live_node t at with
   | None ->
       (* The carrier died with the message in hand. *)
-      Trace.debugf t.trace ~time:(Engine.now t.engine) "lookup %d lost at dead node %d" request
-        at;
       fail_request t request ~hops ~stuck_at:at ~reason:"carrier_died"
   | Some node ->
       (* Flight recorder: every arrival at a decision point — including
@@ -487,7 +481,6 @@ let join t ~pos ~via =
     Ftr_obs.Events.emit ~time:(Engine.now t.engine) ~kind:"overlay.join"
       [ ("pos", Ftr_obs.Json.Int pos); ("via", Ftr_obs.Json.Int via) ]
   end;
-  Trace.infof t.trace ~time:(Engine.now t.engine) "join %d via %d" pos via;
   (* Step 1: find our place on the ring by looking up our own position. *)
   internal_lookup t ~from:via ~target:pos
     ~callback:
@@ -537,8 +530,7 @@ let crash t ~pos =
         Ftr_obs.Metrics.incr "overlay_crashes_total";
         Ftr_obs.Events.emit ~time:(Engine.now t.engine) ~kind:"overlay.crash"
           [ ("pos", Ftr_obs.Json.Int pos) ]
-      end;
-      Trace.infof t.trace ~time:(Engine.now t.engine) "crash %d" pos
+      end
 
 let leave t ~pos =
   match live_node t pos with
@@ -559,8 +551,7 @@ let leave t ~pos =
         Ftr_obs.Metrics.incr "overlay_leaves_total";
         Ftr_obs.Events.emit ~time:(Engine.now t.engine) ~kind:"overlay.leave"
           [ ("pos", Ftr_obs.Json.Int pos) ]
-      end;
-      Trace.infof t.trace ~time:(Engine.now t.engine) "leave %d" pos
+      end
 
 (* Instantiate a whole network at time zero without paying the join
    message cost, for tests and as a churn starting point. *)

@@ -33,7 +33,6 @@ val create :
   ?latency_model:Ftr_sim.Latency.t ->
   ?ttl:int ->
   ?regenerate:bool ->
-  ?trace:Ftr_sim.Trace.t ->
   line_size:int ->
   links:int ->
   rng:Ftr_prng.Rng.t ->

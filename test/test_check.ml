@@ -8,7 +8,7 @@
 module Network = Ftr_core.Network
 module Route = Ftr_core.Route
 module Failure = Ftr_core.Failure
-module Serial = Ftr_core.Serial
+module Snapshot = Ftr_core.Snapshot
 module Rng = Ftr_prng.Rng
 module Heap = Ftr_sim.Heap
 module Engine = Ftr_sim.Engine
@@ -58,9 +58,10 @@ let line_net ?broken_at ?extra n =
         Array.sort compare arr;
         arr)
   in
-  Network.of_neighbor_indices ~line_size:n
-    ~positions:(Array.init n (fun i -> i))
-    ~neighbors ~links:0 ()
+  Network.of_flat ~geometry:Network.Line ~line_size:n
+    ~positions:(Ftr_graph.Adjacency.I32.of_int_array (Array.init n Fun.id))
+    ~adj:(Ftr_graph.Adjacency.Csr.of_rows neighbors)
+    ~links:0 ()
 
 (* ------------------------------------------------------------------ *)
 (* Injected corruptions                                                *)
@@ -175,12 +176,15 @@ let prop_heap_stays_wellformed =
       done;
       Check.heap h = [])
 
-let prop_serial_roundtrip_preserves_invariants =
-  QCheck.Test.make ~name:"Serial roundtrip preserves networks and their invariants" ~count:40
+let prop_snapshot_roundtrip_preserves_invariants =
+  QCheck.Test.make ~name:"Snapshot roundtrip preserves networks and their invariants" ~count:40
     QCheck.(triple (int_range 2 128) (int_range 0 5) small_int)
     (fun (n, links, seed) ->
       let net = Network.build_ideal ~n ~links (Rng.of_int seed) in
-      let restored = Serial.of_string (Serial.to_string net) in
+      let path = Filename.temp_file "ftr_check" ".ftrsnap" in
+      Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) @@ fun () ->
+      Snapshot.save net ~path;
+      let restored = Snapshot.load ~path () in
       let same = ref (Network.size net = Network.size restored) in
       same := !same && Network.line_size net = Network.line_size restored;
       same := !same && Network.links net = Network.links restored;
@@ -212,6 +216,6 @@ let () =
             prop_routes_pass;
             prop_backtrack_routes_pass;
             prop_heap_stays_wellformed;
-            prop_serial_roundtrip_preserves_invariants;
+            prop_snapshot_roundtrip_preserves_invariants;
           ] );
     ]

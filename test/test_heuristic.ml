@@ -229,6 +229,49 @@ let repair_rejects_extinction () =
       ignore (Heuristic.repair ~alive:(fun v -> v = 3) net (Rng.of_int 87)))
 
 (* ------------------------------------------------------------------ *)
+(* Pinned output                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Digest of every node's position and sorted neighbour row. *)
+let digest net =
+  let b = Buffer.create 4096 in
+  for i = 0 to Network.size net - 1 do
+    Buffer.add_string b (string_of_int (Network.position net i));
+    Buffer.add_char b ':';
+    Array.iter
+      (fun v ->
+        Buffer.add_string b (string_of_int v);
+        Buffer.add_char b ',')
+      (Network.neighbors net i);
+    Buffer.add_char b '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The statistical tests above would not notice a changed RNG draw order;
+   these digests would. Each line: seed, then build (proportional), build
+   (oldest) and repair of the proportional network. *)
+let output_pinned () =
+  List.iter
+    (fun (seed, proportional, oldest, repaired) ->
+      let net = Heuristic.build ~n:512 ~links:6 (Rng.of_int seed) in
+      let label what = Printf.sprintf "%s at seed %d" what seed in
+      Alcotest.(check string) (label "proportional build") proportional (digest net);
+      Alcotest.(check string) (label "oldest build") oldest
+        (digest (Heuristic.build ~replacement:Heuristic.Oldest ~n:512 ~links:6 (Rng.of_int seed)));
+      Alcotest.(check string) (label "repair") repaired
+        (digest (Heuristic.repair ~alive:(fun v -> v mod 3 <> 1) net (Rng.of_int (seed + 1)))))
+    [
+      ( 5,
+        "4900a3690f8dcb44cdc0b2ff0fc8b557",
+        "460c0f3ee6f3ad1e573edcda0eb88452",
+        "2ab4f0932f7fe19a0b9d56528f690404" );
+      ( 2002,
+        "c200d4ba793b426b0397712a99273ae6",
+        "6114ba564ede5130a37ae4fdfc2b1161",
+        "1d425b92f9de2b8020bdff7a84670774" );
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -283,6 +326,7 @@ let () =
           quick "keeps surviving links" repair_keeps_surviving_links;
           quick "rejects extinction" repair_rejects_extinction;
         ] );
+      ("pinned", [ quick "build and repair digests" output_pinned ]);
       ( "properties",
         List.map (fun p -> QCheck_alcotest.to_alcotest p)
           [ prop_constructed_degrees; prop_constructed_connected ] );

@@ -2,6 +2,8 @@
 module Network = Ftr_core.Network
 module Rng = Ftr_prng.Rng
 module Sample = Ftr_prng.Sample
+module Csr = Ftr_graph.Adjacency.Csr
+module I32 = Ftr_graph.Adjacency.I32
 
 let rng () = Rng.of_int 12345
 
@@ -244,10 +246,14 @@ let nearest_index_full () =
   let net = Network.build_ideal ~n:100 ~links:1 (rng ()) in
   Alcotest.(check int) "identity on full nets" 42 (Network.nearest_index net ~position:42)
 
+(* A hand-built sparse line network: nodes at [positions], node [i]
+   linked to the indices in [rows.(i)]. *)
+let sparse_net ~line_size positions rows =
+  Network.of_flat ~geometry:Network.Line ~line_size ~positions:(I32.of_int_array positions)
+    ~adj:(Csr.of_rows rows) ~links:0 ()
+
 let nearest_index_sparse () =
-  let positions = [| 2; 10; 50 |] in
-  let neighbors = [| [| 1 |]; [| 0; 2 |]; [| 1 |] |] in
-  let net = Network.of_neighbor_indices ~line_size:64 ~positions ~neighbors ~links:0 () in
+  let net = sparse_net ~line_size:64 [| 2; 10; 50 |] [| [| 1 |]; [| 0; 2 |]; [| 1 |] |] in
   Alcotest.(check int) "below first" 0 (Network.nearest_index net ~position:0);
   Alcotest.(check int) "nearest left wins ties" 0 (Network.nearest_index net ~position:6);
   Alcotest.(check int) "nearest right" 1 (Network.nearest_index net ~position:9);
@@ -255,25 +261,22 @@ let nearest_index_sparse () =
   Alcotest.(check (option int)) "exact hit" (Some 1) (Network.index_of_position net ~position:10);
   Alcotest.(check (option int)) "miss" None (Network.index_of_position net ~position:11)
 
-let of_neighbor_indices_validates () =
+let of_flat_validates () =
   Alcotest.check_raises "unsorted positions"
-    (Invalid_argument "Network.of_neighbor_indices: positions must be strictly increasing")
-    (fun () ->
-      ignore
-        (Network.of_neighbor_indices ~line_size:10 ~positions:[| 5; 2 |]
-           ~neighbors:[| [||]; [||] |] ~links:0 ()));
+    (Invalid_argument "Network: positions must be strictly increasing") (fun () ->
+      ignore (sparse_net ~line_size:10 [| 5; 2 |] [| [||]; [||] |]));
+  (* [Csr.of_rows] would refuse the bad target itself, so hand [of_flat]
+     the raw vectors. *)
+  let adj = { Csr.offsets = I32.of_int_array [| 0; 1; 1 |]; targets = I32.of_int_array [| 7 |] } in
   Alcotest.check_raises "neighbour out of range"
-    (Invalid_argument "Network.of_neighbor_indices: neighbor out of range") (fun () ->
+    (Invalid_argument "Csr: target 7 at slot 0 out of range") (fun () ->
       ignore
-        (Network.of_neighbor_indices ~line_size:10 ~positions:[| 1; 2 |]
-           ~neighbors:[| [| 7 |]; [||] |] ~links:0 ()))
+        (Network.of_flat ~geometry:Network.Line ~line_size:10
+           ~positions:(I32.of_int_array [| 1; 2 |])
+           ~adj ~links:0 ()))
 
 let distance_via_positions () =
-  let positions = [| 3; 9; 40 |] in
-  let net =
-    Network.of_neighbor_indices ~line_size:64 ~positions
-      ~neighbors:[| [| 1 |]; [| 0; 2 |]; [| 1 |] |] ~links:0 ()
-  in
+  let net = sparse_net ~line_size:64 [| 3; 9; 40 |] [| [| 1 |]; [| 0; 2 |]; [| 1 |] |] in
   Alcotest.(check int) "line distance" 6 (Network.distance net 0 1);
   Alcotest.(check int) "line distance 2" 37 (Network.distance net 0 2)
 
@@ -324,78 +327,6 @@ let sample_target_side_balance () =
   Alcotest.(check bool) "balanced" true (abs_float (rate -. 0.5) < 0.02)
 
 (* ------------------------------------------------------------------ *)
-(* Serialization                                                       *)
-(* ------------------------------------------------------------------ *)
-
-module Serial = Ftr_core.Serial
-
-let networks_equal a b =
-  Network.geometry a = Network.geometry b
-  && Network.line_size a = Network.line_size b
-  && Network.links a = Network.links b
-  && Network.size a = Network.size b
-  &&
-  let ok = ref true in
-  for i = 0 to Network.size a - 1 do
-    if Network.position a i <> Network.position b i then ok := false;
-    if Network.neighbors a i <> Network.neighbors b i then ok := false
-  done;
-  !ok
-
-let serial_string_roundtrip () =
-  let net = Network.build_ideal ~n:128 ~links:4 (rng ()) in
-  let restored = Serial.of_string (Serial.to_string net) in
-  Alcotest.(check bool) "identical" true (networks_equal net restored)
-
-let serial_ring_roundtrip () =
-  let net = Network.build_ring ~n:64 ~links:3 (rng ()) in
-  let restored = Serial.of_string (Serial.to_string net) in
-  Alcotest.(check bool) "circle preserved" true
-    (Network.geometry restored = Network.Circle && networks_equal net restored)
-
-let serial_sparse_roundtrip () =
-  let net = Network.build_binomial ~n:256 ~links:2 ~present_p:0.5 (rng ()) in
-  let restored = Serial.of_string (Serial.to_string net) in
-  Alcotest.(check bool) "sparse positions preserved" true (networks_equal net restored)
-
-let serial_file_roundtrip () =
-  let net = Network.build_deterministic ~n:64 ~base:2 in
-  let path = Filename.temp_file "ftrnet_test" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Serial.save_file net path;
-      let restored = Serial.load_file path in
-      Alcotest.(check bool) "file roundtrip" true (networks_equal net restored))
-
-let serial_restored_routes_identically () =
-  let net = Network.build_ideal ~n:512 ~links:6 (Rng.of_int 80) in
-  let restored = Serial.of_string (Serial.to_string net) in
-  let r1 = Rng.of_int 81 and r2 = Rng.of_int 81 in
-  for _ = 1 to 100 do
-    let src = Rng.int r1 512 and dst = Rng.int r1 512 in
-    let src' = Rng.int r2 512 and dst' = Rng.int r2 512 in
-    Alcotest.(check int) "same route cost"
-      (Ftr_core.Route.hops (Ftr_core.Route.route net ~src ~dst))
-      (Ftr_core.Route.hops (Ftr_core.Route.route restored ~src:src' ~dst:dst'))
-  done
-
-let serial_rejects_garbage () =
-  let expect_parse_error s =
-    match Serial.of_string s with
-    | exception Serial.Parse_error _ -> ()
-    | _ -> Alcotest.fail "expected a parse error"
-  in
-  expect_parse_error "";
-  expect_parse_error "nonsense 1\n";
-  expect_parse_error "ftrnet 99\n";
-  expect_parse_error "ftrnet 1\ngeometry spiral\n";
-  (* Truncated node section. *)
-  expect_parse_error "ftrnet 1\ngeometry line\nline_size 4\nlinks 0\nnodes 2\n0 1 1\n";
-  (* Degree mismatch. *)
-  expect_parse_error "ftrnet 1\ngeometry line\nline_size 4\nlinks 0\nnodes 1\n0 2 1\n"
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -415,18 +346,6 @@ let prop_deterministic_degree_bound =
       let ok = ref true in
       for u = 0 to n - 1 do
         if Array.length (Network.neighbors net u) > bound then ok := false
-      done;
-      !ok)
-
-let prop_serial_roundtrip =
-  QCheck.Test.make ~name:"serialization roundtrips any ideal network" ~count:40
-    QCheck.(triple (int_range 2 128) (int_range 0 5) small_int)
-    (fun (n, links, seed) ->
-      let net = Network.build_ideal ~n ~links (Rng.of_int seed) in
-      let restored = Ftr_core.Serial.of_string (Ftr_core.Serial.to_string net) in
-      let ok = ref (Network.size net = Network.size restored) in
-      for i = 0 to Network.size net - 1 do
-        if Network.neighbors net i <> Network.neighbors restored i then ok := false
       done;
       !ok)
 
@@ -511,7 +430,7 @@ let () =
         [
           quick "nearest index on full nets" nearest_index_full;
           quick "nearest index on sparse nets" nearest_index_sparse;
-          quick "of_neighbor_indices validates" of_neighbor_indices_validates;
+          quick "of_flat validates" of_flat_validates;
           quick "distance via positions" distance_via_positions;
           quick "long link lengths exclude ring" long_link_lengths_excludes_ring;
         ] );
@@ -521,22 +440,12 @@ let () =
           quick "edge nodes sample one side" sample_target_edge_node_one_sided;
           quick "midpoint side balance" sample_target_side_balance;
         ] );
-      ( "serialization",
-        [
-          quick "string roundtrip" serial_string_roundtrip;
-          quick "circle roundtrip" serial_ring_roundtrip;
-          quick "sparse roundtrip" serial_sparse_roundtrip;
-          quick "file roundtrip" serial_file_roundtrip;
-          quick "restored network routes identically" serial_restored_routes_identically;
-          quick "rejects garbage" serial_rejects_garbage;
-        ] );
       ( "properties",
         List.map (fun p -> QCheck_alcotest.to_alcotest p)
           [
             prop_ideal_connected;
             prop_deterministic_degree_bound;
             prop_binomial_positions_sorted;
-            prop_serial_roundtrip;
             prop_ring_distance_bounded;
             prop_chordlike_links_are_powers;
           ]

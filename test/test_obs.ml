@@ -407,6 +407,40 @@ let route_instrumentation () =
       | _ -> Alcotest.fail "event line is not an object")
     (List.filter (fun l -> l <> "") (String.split_on_char '\n' out))
 
+(* Membership changes reach the one event stream: every join, crash and
+   leave is an [overlay.*] event carrying the node's position and the
+   engine's sim time. *)
+let overlay_membership_events () =
+  Flag.with_mode true @@ fun () ->
+  Events.reset ();
+  Events.set_sampling ~every:1;
+  let engine = Ftr_sim.Engine.create () in
+  let overlay =
+    Ftr_p2p.Overlay.create ~line_size:64 ~links:2 ~rng:(Rng.of_int 12) engine
+  in
+  Ftr_p2p.Overlay.populate overlay ~positions:[ 0; 16; 32; 48 ];
+  let (), out =
+    Events.with_buffer (fun () ->
+        Ftr_p2p.Overlay.join overlay ~pos:8 ~via:0;
+        Ftr_p2p.Overlay.crash overlay ~pos:32;
+        Ftr_p2p.Overlay.leave overlay ~pos:48)
+  in
+  let membership =
+    List.filter_map
+      (fun line ->
+        let j = Json.parse line in
+        match (Json.member "kind" j, Json.member "pos" j, Json.member "time" j) with
+        | Some (Json.String kind), Some (Json.Int pos), Some _
+          when String.starts_with ~prefix:"overlay." kind ->
+            Some (kind, pos)
+        | _ -> None)
+      (List.filter (fun l -> l <> "") (String.split_on_char '\n' out))
+  in
+  Alcotest.(check (list (pair string int)))
+    "join, crash, leave in call order"
+    [ ("overlay.join", 8); ("overlay.crash", 32); ("overlay.leave", 48) ]
+    membership
+
 let export_formats () =
   Flag.with_mode true @@ fun () ->
   let r = Metrics.create () in
@@ -608,59 +642,6 @@ let tracing_off_allocation_free () =
     true (delta < 512.0)
 
 (* ------------------------------------------------------------------ *)
-(* Trace drop accounting and JSON (satellite)                          *)
-(* ------------------------------------------------------------------ *)
-
-module Trace = Ftr_sim.Trace
-
-let trace_drop_counts () =
-  let t = Trace.create ~capacity:2 ~min_level:Trace.Info () in
-  Trace.debugf t ~time:0.5 "below level";
-  Trace.infof t ~time:1.0 "one";
-  Trace.infof t ~time:2.0 "two";
-  (* Overflow sheds down to capacity/2 (amortised batch eviction), so the
-     third entry evicts two and one survives. *)
-  Trace.infof t ~time:3.0 "three";
-  Alcotest.(check int) "below level" 1 (Trace.dropped_below_level t);
-  Alcotest.(check int) "evicted" 2 (Trace.dropped_by_eviction t);
-  Alcotest.(check int) "total dropped" 3 (Trace.dropped t);
-  Alcotest.(check int) "retained" 1 (Trace.length t);
-  match Trace.entries t with
-  | [ e ] -> Alcotest.(check string) "newest survives" "three" e.Trace.message
-  | _ -> Alcotest.fail "expected exactly one retained entry"
-
-let trace_to_json () =
-  let t = Trace.create ~capacity:4 () in
-  Trace.infof t ~time:1.0 "hello %d" 42;
-  Trace.warnf t ~time:2.0 "tricky \"quote\"";
-  let j = Trace.to_json t in
-  match Json.parse (Json.to_string j) with
-  | Json.Obj _ as parsed -> (
-      (match Json.member "retained" parsed with
-      | Some (Json.Int 2) -> ()
-      | _ -> Alcotest.fail "retained count wrong");
-      match Json.member "entries" parsed with
-      | Some (Json.List [ _; second ]) -> (
-          match Json.member "message" second with
-          | Some (Json.String m) -> Alcotest.(check string) "message survives" "tricky \"quote\"" m
-          | _ -> Alcotest.fail "entry message missing")
-      | _ -> Alcotest.fail "entries list wrong")
-  | _ -> Alcotest.fail "trace json is not an object"
-
-let trace_emit_events () =
-  Flag.with_mode true @@ fun () ->
-  Events.reset ();
-  Events.set_sampling ~every:1;
-  let t = Trace.create () in
-  Trace.infof t ~time:1.0 "replayed";
-  let (), out = Events.with_buffer (fun () -> Trace.emit_events t) in
-  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' out) in
-  Alcotest.(check int) "one event per entry" 1 (List.length lines);
-  match Json.member "kind" (Json.parse (List.hd lines)) with
-  | Some (Json.String "trace") -> ()
-  | _ -> Alcotest.fail "default kind wrong"
-
-(* ------------------------------------------------------------------ *)
 (* JSON parser                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -736,13 +717,8 @@ let () =
       ( "integration",
         [
           quick "route feeds metrics, spans and events" route_instrumentation;
+          quick "overlay membership feeds events" overlay_membership_events;
           quick "export formats" export_formats;
-        ] );
-      ( "trace",
-        [
-          quick "drop accounting" trace_drop_counts;
-          quick "to_json" trace_to_json;
-          quick "emit_events" trace_emit_events;
         ] );
       ( "json",
         [ json_rejects |> quick "parser rejects malformed"; QCheck_alcotest.to_alcotest json_round_trip ] );

@@ -1,7 +1,6 @@
 (* ftr-lint: disable-file R2 T3 test assertions compare small concrete values *)
 module Heap = Ftr_sim.Heap
 module Engine = Ftr_sim.Engine
-module Trace = Ftr_sim.Trace
 
 (* ------------------------------------------------------------------ *)
 (* Heap                                                                *)
@@ -272,58 +271,6 @@ let latency_rejects () =
   Alcotest.check_raises "bad uniform" (Invalid_argument "Latency.uniform: need 0 < lo <= hi")
     (fun () -> ignore (Latency.uniform ~lo:2.0 ~hi:1.0))
 
-(* ------------------------------------------------------------------ *)
-(* Trace                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let trace_records () =
-  let t = Trace.create () in
-  Trace.infof t ~time:1.0 "hello %d" 42;
-  Trace.warnf t ~time:2.0 "oops";
-  let entries = Trace.entries t in
-  Alcotest.(check int) "two entries" 2 (List.length entries);
-  match entries with
-  | [ a; b ] ->
-      Alcotest.(check string) "formatted" "hello 42" a.Trace.message;
-      Alcotest.(check (float 1e-9)) "time order" 2.0 b.Trace.time
-  | _ -> Alcotest.fail "unexpected shape"
-
-let trace_level_filter () =
-  let t = Trace.create ~min_level:Trace.Warn () in
-  Trace.infof t ~time:1.0 "suppressed";
-  Trace.warnf t ~time:2.0 "kept";
-  Alcotest.(check int) "only warn kept" 1 (Trace.length t)
-
-let trace_dump_renders () =
-  let t = Trace.create () in
-  Trace.infof t ~time:1.5 "first";
-  Trace.warnf t ~time:2.25 "second";
-  let rendered = Format.asprintf "%a" Trace.dump t in
-  Alcotest.(check bool) "mentions messages" true
-    (let has needle =
-       let nh = String.length rendered and nn = String.length needle in
-       let rec go i = i + nn <= nh && (String.sub rendered i nn = needle || go (i + 1)) in
-       go 0
-     in
-     has "first" && has "second" && has "warn")
-
-let trace_level_can_change () =
-  let t = Trace.create ~min_level:Trace.Warn () in
-  Trace.infof t ~time:1.0 "dropped";
-  Trace.set_min_level t Trace.Debug;
-  Trace.debugf t ~time:2.0 "kept";
-  Alcotest.(check int) "only post-change entry" 1 (Trace.length t)
-
-let trace_capacity () =
-  let t = Trace.create ~capacity:10 ~min_level:Trace.Debug () in
-  for i = 1 to 100 do
-    Trace.debugf t ~time:(float_of_int i) "entry %d" i
-  done;
-  Alcotest.(check bool) "bounded" true (Trace.length t <= 10);
-  (* The newest entry must survive the trimming. *)
-  let last = List.nth (Trace.entries t) (Trace.length t - 1) in
-  Alcotest.(check string) "newest kept" "entry 100" last.Trace.message
-
 (* Determinism: the same seeded simulation yields the same trajectory. *)
 let engine_deterministic_replay () =
   let run_once seed =
@@ -389,13 +336,5 @@ let () =
           quick "uniform range" latency_uniform_range;
           quick "exponential mean" latency_exponential_positive_mean;
           quick "rejects bad models" latency_rejects;
-        ] );
-      ( "trace",
-        [
-          quick "records formatted entries" trace_records;
-          quick "level filter" trace_level_filter;
-          quick "bounded capacity" trace_capacity;
-          quick "dump renders" trace_dump_renders;
-          quick "min level can change" trace_level_can_change;
         ] );
     ]

@@ -33,29 +33,29 @@ let same_network a b =
   && I32.equal (Network.positions a) (Network.positions b)
   && Csr.equal (Network.csr a) (Network.csr b)
 
-let check_routes_agree original loaded =
+(* Behavioural witness: a fixed spread of routes gives the same outcome
+   on both networks. *)
+let routes_agree original loaded =
   let n = Network.size original in
-  for i = 0 to 15 do
-    let src = i * 53 mod n and dst = i * 17 mod n in
-    Alcotest.(check bool)
-      (Printf.sprintf "route %d->%d agrees" src dst)
-      true
-      (Route.route original ~src ~dst = Route.route loaded ~src ~dst)
-  done
+  List.for_all
+    (fun i ->
+      let src = i * 53 mod n and dst = i * 17 mod n in
+      Route.route original ~src ~dst = Route.route loaded ~src ~dst)
+    (List.init 16 Fun.id)
 
 let roundtrip_mmap () =
   let net = build () in
   with_snapshot net @@ fun path ->
   let loaded = Snapshot.load ~path () in
   Alcotest.(check bool) "mmap load byte-identical" true (same_network net loaded);
-  check_routes_agree net loaded
+  Alcotest.(check bool) "routes agree" true (routes_agree net loaded)
 
 let roundtrip_copy () =
   let net = build () in
   with_snapshot net @@ fun path ->
   let loaded = Snapshot.load ~mmap:false ~path () in
   Alcotest.(check bool) "copy load byte-identical" true (same_network net loaded);
-  check_routes_agree net loaded
+  Alcotest.(check bool) "routes agree" true (routes_agree net loaded)
 
 let roundtrip_no_validate () =
   (* validate:false skips the full structural sweep but keeps the frame
@@ -148,14 +148,30 @@ let missing_file () =
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Every builder, so both geometry tags (the circle from [build_ring] and
+   [build_chordlike]) and sparse positions ([build_binomial]) cross the
+   file format, not only the full ideal line. *)
+let builders =
+  [|
+    (fun ~n ~links rng -> Network.build_ideal ~n ~links rng);
+    (fun ~n ~links rng -> Network.build_ring ~n:(max 3 n) ~links rng);
+    (fun ~n ~links rng -> Network.build_binomial ~n ~links ~present_p:0.5 rng);
+    (fun ~n ~links _ -> Network.build_deterministic ~n ~base:(2 + links));
+    (fun ~n ~links:_ _ -> Network.build_chordlike ~n:(max 3 n) ());
+  |]
+
 let prop_roundtrip =
-  QCheck.Test.make ~name:"save/load round-trips any ideal network" ~count:20
-    QCheck.(triple (int_range 2 160) (int_range 0 6) small_int)
-    (fun (n, links, seed) ->
-      let net = Network.build_ideal ~n ~links (Rng.of_int seed) in
+  QCheck.Test.make ~name:"save/load round-trips any network" ~count:40
+    QCheck.(
+      quad (int_range 0 (Array.length builders - 1)) (int_range 2 160) (int_range 0 6) small_int)
+    (fun (builder, n, links, seed) ->
+      let net = builders.(builder) ~n ~links (Rng.of_int seed) in
       with_snapshot net @@ fun path ->
-      same_network net (Snapshot.load ~path ())
-      && same_network net (Snapshot.load ~mmap:false ~path ()))
+      List.for_all
+        (fun mmap ->
+          let loaded = Snapshot.load ~mmap ~path () in
+          same_network net loaded && routes_agree net loaded)
+        [ true; false ])
 
 let () =
   Alcotest.run "snapshot"
