@@ -854,11 +854,15 @@ let run_churn () =
 (* Exec subsystem: multicore speedup on the experiment drivers          *)
 (* ------------------------------------------------------------------ *)
 
-(* Each driver runs twice — jobs=1, then --jobs N — on identical
-   arguments; the executor guarantees identical output (verified here
-   with a structural comparison, and byte-for-byte in the test suite),
-   so the only difference is the wall clock. The numbers land in
-   BENCH_exec.json for machines to read. *)
+(* Each driver runs at jobs=1 and, on a host with more than one
+   recommended domain, again at --jobs N on identical arguments; the
+   executor guarantees identical output (verified here with a structural
+   comparison, and byte-for-byte in the test suite), so the only
+   difference is the wall clock. A 1-domain host still measures and
+   reports the jobs=1 times: only the jobs-N column and the speedup are
+   left out, since a jobs sweep on one core measures nothing but
+   scheduling overhead. The numbers land in BENCH_exec.json for machines
+   to read. *)
 let write_exec_report report =
   let path = "BENCH_exec.json" in
   let oc = open_out path in
@@ -867,98 +871,86 @@ let write_exec_report report =
   close_out oc;
   Printf.printf "[exec] wrote %s\n%!" path
 
+(* The jobs count to compare against jobs=1, or [None] on a 1-domain host. *)
+let parallel_jobs host =
+  if host <= 1 then None
+  else Some (match jobs_flag with Some j -> j | None -> Ftr_exec.Pool.default_jobs ())
+
 let run_exec () =
   let host = Domain.recommended_domain_count () in
-  if host <= 1 then begin
-    (* A jobs sweep on one core can only measure scheduling overhead, so
-       the section is skipped outright; the report says so explicitly
-       rather than publishing a meaningless "speedup". *)
-    section
-      (Printf.sprintf
-         "EXEC — skipped: host recommends %d domain(s); the jobs sweep needs more than one" host);
-    write_exec_report
-      Ftr_obs.Json.(
-        Obj
-          [
-            ("skipped", Bool true);
-            ("host_recommended_domains", Int host);
-            ("full_scale", Bool full);
-          ])
-  end
-  else begin
-  let jobs = match jobs_flag with Some j -> j | None -> Ftr_exec.Pool.default_jobs () in
+  let par_jobs = parallel_jobs host in
   section
-    (Printf.sprintf
-       "EXEC — deterministic multicore executor (--jobs %d; host recommends %d domains)\n\
-        output is jobs-invariant by contract; parallelism only moves the wall clock" jobs
-       (Domain.recommended_domain_count ()));
+    (match par_jobs with
+    | Some jobs ->
+        Printf.sprintf
+          "EXEC — deterministic multicore executor (--jobs %d; host recommends %d domains)\n\
+           output is jobs-invariant by contract; parallelism only moves the wall clock" jobs host
+    | None ->
+        Printf.sprintf
+          "EXEC — deterministic multicore executor, jobs=1 only (host recommends %d domain)\n\
+           the jobs-N column and the speedup need more than one domain" host);
   let rows = ref [] in
-  let bench name seq par =
+  let bench name run =
     let time f =
       let t0 = Unix.gettimeofday () in
       let r = f () in
       (r, Unix.gettimeofday () -. t0)
     in
-    let r1, t1 = time seq in
-    let rj, tj = time par in
-    let speedup = t1 /. tj in
-    Printf.printf "%28s: jobs=1 %7.2f s, jobs=%d %7.2f s, speedup %5.2fx%s\n%!" name t1 jobs tj
-      speedup
-      (if r1 = rj then "" else "  [OUTPUT MISMATCH]");
-    rows := (name, t1, tj, r1 = rj) :: !rows
+    let r1, t1 = time (fun () -> run 1) in
+    match par_jobs with
+    | None ->
+        Printf.printf "%28s: jobs=1 %7.2f s\n%!" name t1;
+        rows := (name, t1, None) :: !rows
+    | Some jobs ->
+        let rj, tj = time (fun () -> run jobs) in
+        Printf.printf "%28s: jobs=1 %7.2f s, jobs=%d %7.2f s, speedup %5.2fx%s\n%!" name t1 jobs
+          tj (t1 /. tj)
+          (if r1 = rj then "" else "  [OUTPUT MISMATCH]");
+        rows := (name, t1, Some (tj, r1 = rj)) :: !rows
   in
   let networks = if full then 8 else 4 in
   let messages = if full then 300 else 150 in
   let n = if full then 1 lsl 13 else 1 lsl 12 in
-  bench "table1 grid (9 sections)"
-    (fun () ->
-      E.table1_grid ~jobs:1 ~ns:[ 256; 1024; 4096 ] ~big:n ~networks:2 ~messages:100 ~trials:100
-        ~seed ())
-    (fun () ->
+  bench "table1 grid (9 sections)" (fun jobs ->
       E.table1_grid ~jobs ~ns:[ 256; 1024; 4096 ] ~big:n ~networks:2 ~messages:100 ~trials:100
         ~seed ());
-  bench "figure5 networks"
-    (fun () -> E.figure5_par ~jobs:1 ~networks ~n ~links:12 ~seed ())
-    (fun () -> E.figure5_par ~jobs ~networks ~n ~links:12 ~seed ());
-  bench "figure6 (fractions x nets)"
-    (fun () ->
-      E.figure6_par ~jobs:1 ~n ~networks:2 ~messages ~fractions:[ 0.0; 0.3; 0.6 ] ~seed ())
-    (fun () ->
+  bench "figure5 networks" (fun jobs -> E.figure5_par ~jobs ~networks ~n ~links:12 ~seed ());
+  bench "figure6 (fractions x nets)" (fun jobs ->
       E.figure6_par ~jobs ~n ~networks:2 ~messages ~fractions:[ 0.0; 0.3; 0.6 ] ~seed ());
   let open Ftr_obs.Json in
-  let report =
-    Obj
-      [
-        ("jobs", Int jobs);
-        ("host_recommended_domains", Int (Domain.recommended_domain_count ()));
-        ("full_scale", Bool full);
-        ( "sections",
-          List
-            (List.rev_map
-               (fun (name, t1, tj, same) ->
-                 Obj
-                   [
-                     ("name", String name);
-                     ("jobs1_seconds", Float t1);
-                     ("jobsN_seconds", Float tj);
-                     ("speedup", Float (t1 /. tj));
-                     ("output_identical", Bool same);
-                   ])
-               !rows) );
-      ]
-  in
-  write_exec_report report
-  end
+  write_exec_report
+    (Obj
+       ([ ("host_recommended_domains", Int host); ("full_scale", Bool full) ]
+       @ (match par_jobs with Some jobs -> [ ("jobs", Int jobs) ] | None -> [])
+       @ [
+           ( "sections",
+             List
+               (List.rev_map
+                  (fun (name, t1, par) ->
+                    Obj
+                      ([ ("name", String name); ("jobs1_seconds", Float t1) ]
+                      @
+                      match par with
+                      | None -> []
+                      | Some (tj, same) ->
+                          [
+                            ("jobsN_seconds", Float tj);
+                            ("speedup", Float (t1 /. tj));
+                            ("output_identical", Bool same);
+                          ]))
+                  !rows) );
+         ]))
 
 (* ------------------------------------------------------------------ *)
 (* Service: lookups/s through the actor scheduler                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The message-passing service under a churny workload, jobs=1 against
-   the recommended worker count on identical arguments. The scheduler
-   guarantees a byte-identical transcript (checked structurally here,
-   and byte-for-byte by @serve), so the only difference is the wall
-   clock; the numbers land in BENCH_serve.json for machines to read. *)
+(* The message-passing service under a churny workload at jobs=1 and, on
+   a host with more than one recommended domain, at the recommended worker
+   count on identical arguments. The scheduler guarantees a byte-identical
+   transcript (checked structurally here, and byte-for-byte by @serve), so
+   the only difference is the wall clock; the numbers land in
+   BENCH_serve.json for machines to read. *)
 let write_serve_report report =
   let path = "BENCH_serve.json" in
   let oc = open_out path in
@@ -970,74 +962,75 @@ let write_serve_report report =
 let run_serve () =
   let module D = Ftr_svc.Driver in
   let host = Domain.recommended_domain_count () in
-  if host <= 1 then begin
-    section
-      (Printf.sprintf
-         "SERVE — skipped: host recommends %d domain(s); the jobs comparison needs more than one"
-         host);
-    write_serve_report
-      Ftr_obs.Json.(
-        Obj
-          [
-            ("skipped", Bool true);
-            ("host_recommended_domains", Int host);
-            ("full_scale", Bool full);
-          ])
-  end
-  else begin
-    let jobs = match jobs_flag with Some j -> j | None -> Ftr_exec.Pool.default_jobs () in
-    section
-      (Printf.sprintf
-         "SERVE — the overlay as a message-passing service (--jobs %d; host recommends %d)\n\
-          the transcript is jobs-invariant by contract; parallelism only moves the wall clock"
-         jobs host);
-    let cfg =
-      {
-        D.default_config with
-        D.line_size = (if full then 1 lsl 14 else 4096);
-        initial = (if full then 1024 else 256);
-        links = 8;
-        seed;
-        ticks = (if smoke then 32 else 128);
-        rate = (if full then 64 else 32);
-        join_rate = 0.5;
-        crash_rate = 0.5;
-        leave_rate = 0.25;
-        stabilize = 2;
-      }
-    in
-    let r1 = D.run { cfg with D.jobs = Some 1 } in
-    let rj = D.run { cfg with D.jobs = Some jobs } in
-    let same =
-      D.report_lines ~wall:false r1.D.res_report = D.report_lines ~wall:false rj.D.res_report
-    in
-    let rate r = r.D.res_report.D.rp_requests_per_second in
-    Printf.printf
-      "%28s: jobs=1 %8.0f lookups/s, jobs=%d %8.0f lookups/s, speedup %5.2fx%s\n%!"
-      "serve (churny workload)" (rate r1) jobs (rate rj)
-      (rate rj /. rate r1)
-      (if same then "" else "  [OUTPUT MISMATCH]");
-    Printf.printf "%28s: delivered %d/%d, hops p50 %d p99 %d, repairs %d, bounces %d\n%!"
-      "outcomes" r1.D.res_report.D.rp_delivered r1.D.res_report.D.rp_issued
-      r1.D.res_report.D.rp_p50_hops r1.D.res_report.D.rp_p99_hops r1.D.res_report.D.rp_repairs
-      r1.D.res_report.D.rp_bounces;
-    write_serve_report
-      Ftr_obs.Json.(
-        Obj
+  let par_jobs = parallel_jobs host in
+  section
+    (match par_jobs with
+    | Some jobs ->
+        Printf.sprintf
+          "SERVE — the overlay as a message-passing service (--jobs %d; host recommends %d)\n\
+           the transcript is jobs-invariant by contract; parallelism only moves the wall clock"
+          jobs host
+    | None ->
+        Printf.sprintf
+          "SERVE — the overlay as a message-passing service, jobs=1 only (host recommends %d)\n\
+           the jobs-N column and the speedup need more than one domain" host);
+  let cfg =
+    {
+      D.default_config with
+      D.line_size = (if full then 1 lsl 14 else 4096);
+      initial = (if full then 1024 else 256);
+      links = 8;
+      seed;
+      ticks = (if smoke then 32 else 128);
+      rate = (if full then 64 else 32);
+      join_rate = 0.5;
+      crash_rate = 0.5;
+      leave_rate = 0.25;
+      stabilize = 2;
+    }
+  in
+  let rate r = r.D.res_report.D.rp_requests_per_second in
+  let r1 = D.run { cfg with D.jobs = Some 1 } in
+  let parallel =
+    match par_jobs with
+    | None ->
+        Printf.printf "%28s: jobs=1 %8.0f lookups/s\n%!" "serve (churny workload)" (rate r1);
+        []
+    | Some jobs ->
+        let rj = D.run { cfg with D.jobs = Some jobs } in
+        let same =
+          D.report_lines ~wall:false r1.D.res_report = D.report_lines ~wall:false rj.D.res_report
+        in
+        Printf.printf
+          "%28s: jobs=1 %8.0f lookups/s, jobs=%d %8.0f lookups/s, speedup %5.2fx%s\n%!"
+          "serve (churny workload)" (rate r1) jobs (rate rj)
+          (rate rj /. rate r1)
+          (if same then "" else "  [OUTPUT MISMATCH]");
+        Ftr_obs.Json.
           [
             ("jobs", Int jobs);
-            ("host_recommended_domains", Int host);
-            ("full_scale", Bool full);
-            ("issued", Int r1.D.res_report.D.rp_issued);
-            ("delivered", Int r1.D.res_report.D.rp_delivered);
-            ("p50_hops", Int r1.D.res_report.D.rp_p50_hops);
-            ("p99_hops", Int r1.D.res_report.D.rp_p99_hops);
-            ("jobs1_lookups_per_second", Float (rate r1));
             ("jobsN_lookups_per_second", Float (rate rj));
             ("speedup", Float (rate rj /. rate r1));
             ("output_identical", Bool same);
-          ])
-  end
+          ]
+  in
+  Printf.printf "%28s: delivered %d/%d, hops p50 %d p99 %d, repairs %d, bounces %d\n%!"
+    "outcomes" r1.D.res_report.D.rp_delivered r1.D.res_report.D.rp_issued
+    r1.D.res_report.D.rp_p50_hops r1.D.res_report.D.rp_p99_hops r1.D.res_report.D.rp_repairs
+    r1.D.res_report.D.rp_bounces;
+  write_serve_report
+    Ftr_obs.Json.(
+      Obj
+        ([
+           ("host_recommended_domains", Int host);
+           ("full_scale", Bool full);
+           ("issued", Int r1.D.res_report.D.rp_issued);
+           ("delivered", Int r1.D.res_report.D.rp_delivered);
+           ("p50_hops", Int r1.D.res_report.D.rp_p50_hops);
+           ("p99_hops", Int r1.D.res_report.D.rp_p99_hops);
+           ("jobs1_lookups_per_second", Float (rate r1));
+         ]
+        @ parallel))
 
 (* ------------------------------------------------------------------ *)
 (* Lint: flow-stage analyzer throughput, cold vs warm cache            *)

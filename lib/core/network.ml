@@ -234,19 +234,25 @@ let finish_node ~immediate ~long =
   Array.sort Int.compare arr;
   arr
 
-(* In-place insertion sort of [arr.(0 .. len-1)] — the streaming builder
-   sorts each short row (links + 2 entries) in its reusable scratch array
-   without allocating. Same total order as [Array.sort Int.compare] in
-   [finish_node], so the two build paths emit identical rows. *)
+(* In-place sort of [arr.(0 .. len-1)] — the streaming builder sorts each
+   short row (links + 2 entries) in its reusable scratch array without
+   allocating. Odd-even transposition: [len] rounds of compare-exchange on
+   alternating adjacent pairs, each exchange branch-free through the sign
+   mask of the difference, so the random row order costs no mispredicts.
+   Entries are node indices, so the difference cannot overflow. An exact
+   sort of ints, hence the same rows as [Array.sort Int.compare] in
+   [finish_node]. *)
 let sort_prefix arr len =
-  for i = 1 to len - 1 do
-    let x = arr.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && arr.(!j) > x do
-      arr.(!j + 1) <- arr.(!j);
-      decr j
-    done;
-    arr.(!j + 1) <- x
+  for round = 0 to len - 1 do
+    let i = ref (round land 1) in
+    while !i + 1 < len do
+      let a = arr.(!i) and b = arr.(!i + 1) in
+      let d = b - a in
+      let swap = d asr 62 land d in
+      arr.(!i) <- a + swap;
+      arr.(!i + 1) <- b - swap;
+      i := !i + 2
+    done
   done
 
 let check_ideal_args ~who ~n ~links =
@@ -268,17 +274,20 @@ let build_ideal ?(exponent = 1.0) ~n ~links rng =
   let scratch = Array.make (links + 2) 0 in
   for u = 0 to n - 1 do
     let len = ref 0 in
-    let push v =
-      scratch.(!len) <- v;
+    if u > 0 then begin
+      scratch.(0) <- u - 1;
+      len := 1
+    end;
+    if u < n - 1 then begin
+      scratch.(!len) <- u + 1;
       incr len
-    in
-    if u > 0 then push (u - 1);
-    if u < n - 1 then push (u + 1);
-    for _ = 1 to links do
-      push (sample_long_target pl rng ~n ~src:u)
+    end;
+    for k = !len to !len + links - 1 do
+      scratch.(k) <- sample_long_target pl rng ~n ~src:u
     done;
-    sort_prefix scratch !len;
-    Csr.Builder.append_row b scratch ~len:!len
+    let len = !len + links in
+    sort_prefix scratch len;
+    Csr.Builder.append_row b scratch ~len
   done;
   checked
     {

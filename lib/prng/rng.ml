@@ -10,9 +10,9 @@ let copy = Xoshiro.copy
 
 let bits64 = Xoshiro.next_int64
 
-(* Non-negative 62-bit integer: drop the two top bits so the result always
-   fits OCaml's 63-bit int without sign surprises. *)
-let bits t = Int64.to_int (Int64.shift_right_logical (Xoshiro.next_int64 t) 2)
+(* Non-negative 62-bit integer: the output shifted right by two, so the
+   result always fits OCaml's 63-bit int without sign surprises. *)
+let bits = Xoshiro.next_bits
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -20,11 +20,11 @@ let int t bound =
   else begin
     (* Rejection sampling to avoid modulo bias. *)
     let max_usable = 0x3FFF_FFFF_FFFF_FFFF / bound * bound in
-    let rec draw () =
-      let v = bits t in
-      if v >= max_usable then draw () else v mod bound
-    in
-    draw ()
+    let v = ref (bits t) in
+    while !v >= max_usable do
+      v := bits t
+    done;
+    !v mod bound
   end
 
 let int_in_range t ~lo ~hi =
@@ -32,9 +32,9 @@ let int_in_range t ~lo ~hi =
   lo + int t (hi - lo + 1)
 
 let float t =
-  (* 53 random bits scaled to [0,1). *)
-  let v = Int64.to_int (Int64.shift_right_logical (Xoshiro.next_int64 t) 11) in
-  float_of_int v *. 0x1.0p-53
+  (* The top 53 bits of the output (the 62 of [bits] shifted right by a
+     further 9), scaled to [0,1). *)
+  float_of_int (bits t lsr 9) *. 0x1.0p-53
 
 let float_range t ~lo ~hi = lo +. ((hi -. lo) *. float t)
 

@@ -31,13 +31,14 @@ val copy : t -> t
 (** Copy of the current state (same future stream). *)
 
 val bits64 : t -> int64
-(** Raw 64-bit output. *)
+(** Raw 64-bit output (a boxed [int64]). *)
 
 val bits : t -> int
-(** Uniform non-negative int in [0, 2^62). *)
+(** Uniform non-negative int in [0, 2^62): the top 62 bits of the next
+    64-bit output. Allocates nothing. *)
 
 val int : t -> int -> int
-(** [int t bound] is uniform in [0, bound), bias-free.
+(** [int t bound] is uniform in [0, bound), bias-free. Allocates nothing.
     @raise Invalid_argument if [bound <= 0]. *)
 
 val int_in_range : t -> lo:int -> hi:int -> int
@@ -45,7 +46,8 @@ val int_in_range : t -> lo:int -> hi:int -> int
     @raise Invalid_argument if [lo > hi]. *)
 
 val float : t -> float
-(** Uniform in [0, 1) with 53 bits of precision. *)
+(** Uniform in [0, 1) with 53 bits of precision. Allocates only its boxed
+    result (2 minor words). *)
 
 val float_range : t -> lo:float -> hi:float -> float
 (** Uniform in [lo, hi). *)

@@ -128,8 +128,16 @@ let binomial rng ~n ~p =
 type power_law = {
   max_length : int;
   prefix : float array; (* prefix.(i) = sum_{d=1..i+1} d^-exponent *)
+  guide : int array;
+      (* guide.(j) = first i with prefix.(i) > j * total / m, where m is the
+         guide's length and total is the last prefix entry *)
+  guide_scale : float; (* m / total *)
 }
 
+(* Chen & Asau's guide table: m buckets of equal mass, each pointing at the
+   first prefix entry past its lower edge, so a draw starts next to its
+   answer instead of bisecting the whole table. m is capped at a quarter of
+   max_length so the guide never outweighs the prefix table it indexes. *)
 let power_law ~exponent ~max_length =
   if max_length < 1 then invalid_arg "Sample.power_law: max_length must be >= 1";
   let prefix = Array.make max_length 0.0 in
@@ -138,7 +146,18 @@ let power_law ~exponent ~max_length =
     acc := !acc +. (1.0 /. Float.pow (float_of_int d) exponent);
     prefix.(d - 1) <- !acc
   done;
-  { max_length; prefix }
+  let total = prefix.(max_length - 1) in
+  let m = max 1 (max_length / 4) in
+  let guide = Array.make m 0 in
+  let i = ref 0 in
+  for j = 0 to m - 1 do
+    let edge = float_of_int j *. total /. float_of_int m in
+    while !i < max_length - 1 && prefix.(!i) <= edge do
+      incr i
+    done;
+    guide.(j) <- !i
+  done;
+  { max_length; prefix; guide; guide_scale = float_of_int m /. total }
 
 let power_law_total t ~upto =
   if upto < 0 || upto > t.max_length then
@@ -146,17 +165,24 @@ let power_law_total t ~upto =
   if upto = 0 then 0.0 else t.prefix.(upto - 1)
 
 (* Inverse-CDF draw of a length d in [1, upto] with Pr[d] proportional to
-   d^-exponent, by binary search in the prefix table. *)
+   d^-exponent: the first i with prefix.(i) > target, capped at upto-1,
+   plus one. The guide gives a start index; the two scans then move it to
+   that first index whatever the start, so the result is exactly what a
+   bisection over prefix.(0 .. upto-2) returns. Clamping the start keeps
+   the result in [1, upto] whatever rounding does to target and j. *)
 let power_law_draw t rng ~upto =
   if upto < 1 || upto > t.max_length then
     invalid_arg "Sample.power_law_draw: upto out of range";
-  let target = Rng.float rng *. t.prefix.(upto - 1) in
-  let rec search lo hi =
-    if lo >= hi then lo + 1
-    else
-      let mid = (lo + hi) / 2 in
-      if t.prefix.(mid) > target then search lo mid else search (mid + 1) hi
-  in
-  search 0 (upto - 1)
+  let prefix = t.prefix in
+  let target = Rng.float rng *. prefix.(upto - 1) in
+  let j = min (Array.length t.guide - 1) (int_of_float (target *. t.guide_scale)) in
+  let i = ref (min (upto - 1) t.guide.(j)) in
+  while !i > 0 && prefix.(!i - 1) > target do
+    decr i
+  done;
+  while !i < upto - 1 && prefix.(!i) <= target do
+    incr i
+  done;
+  !i + 1
 
 let power_law_max_length t = t.max_length

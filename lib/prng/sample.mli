@@ -3,8 +3,10 @@
     The power-law sampler is the heart of the paper's link model: a link of
     length [d] is chosen with probability proportional to [1/d] (inverse
     power law with exponent 1, Section 4.3). We precompute prefix sums of
-    [d^-exponent] once per network size and draw by inverse-CDF binary
-    search, O(log n) per link. *)
+    [d^-exponent] once per network size, with a guide table of at most
+    [max_length / 4] entries (Chen & Asau 1974) that starts each inverse-CDF
+    search next to its answer: O(1) expected per link, and the same length
+    a binary search over the prefix sums returns. *)
 
 (** {1 Tabulated categorical distributions} *)
 
@@ -67,7 +69,8 @@ val power_law : exponent:float -> max_length:int -> power_law
 val power_law_draw : power_law -> Rng.t -> upto:int -> int
 (** Draw a length in [1, upto] with probability proportional to
     [d^-exponent], restricted to the first [upto] lengths (used to condition
-    on staying inside the line segment).
+    on staying inside the line segment). Consumes one {!Rng.float} and
+    allocates only its boxed result (2 minor words).
     @raise Invalid_argument if [upto] is out of range. *)
 
 val power_law_total : power_law -> upto:int -> float

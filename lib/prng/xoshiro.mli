@@ -21,7 +21,13 @@ val of_splitmix : Splitmix64.t -> t
 (** Seed the state from an existing SplitMix64 stream (advances it). *)
 
 val next_int64 : t -> int64
-(** Advance the state and return the next 64-bit output. *)
+(** Advance the state and return the next 64-bit output. The result is a
+    boxed [int64] (3 minor words); hot paths use {!next_bits}. *)
+
+val next_bits : t -> int
+(** Advance the state exactly as {!next_int64} does and return the top 62
+    bits of that output as a non-negative immediate [int]; allocates
+    nothing. *)
 
 val copy : t -> t
 (** Independent copy of the current state. *)

@@ -232,20 +232,7 @@ let repair_rejects_extinction () =
 (* Pinned output                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Digest of every node's position and sorted neighbour row. *)
-let digest net =
-  let b = Buffer.create 4096 in
-  for i = 0 to Network.size net - 1 do
-    Buffer.add_string b (string_of_int (Network.position net i));
-    Buffer.add_char b ':';
-    Array.iter
-      (fun v ->
-        Buffer.add_string b (string_of_int v);
-        Buffer.add_char b ',')
-      (Network.neighbors net i);
-    Buffer.add_char b '\n'
-  done;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+let digest = Net_digest.of_network
 
 (* The statistical tests above would not notice a changed RNG draw order;
    these digests would. Each line: seed, then build (proportional), build

@@ -77,6 +77,33 @@ let ideal_deterministic_by_seed () =
     Alcotest.(check (array int)) "same network" (Network.neighbors a u) (Network.neighbors b u)
   done
 
+(* The statistical tests would not notice a changed draw order or a
+   sampler that picks a neighbouring length; these digests would. *)
+let ideal_pinned_digests () =
+  List.iter
+    (fun (n, links, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "build_ideal n=%d links=%d seed 1" n links)
+        expected
+        (Net_digest.of_network (Network.build_ideal ~n ~links (Rng.of_int 1))))
+    [
+      (1 lsl 10, 6, "f971fa63e63dbdeca3f2e633e5ec0ae3");
+      (1 lsl 14, 14, "74d611eed158f8cc3b549dacbed4385b");
+    ]
+
+(* Minor-heap words per row entry: one boxed uniform per side choice, two
+   boxed side masses and one boxed uniform inside the length draw, about 8
+   words per long link (7 per row entry at 14 links). *)
+let ideal_minor_words_per_edge () =
+  let n = 1 lsl 14 and links = 14 in
+  ignore (Network.build_ideal ~n:64 ~links (Rng.of_int 2));
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Network.build_ideal ~n ~links (Rng.of_int 2)));
+  let per_entry = (Gc.minor_words () -. w0) /. float_of_int (n * (links + 2)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per row entry" per_entry)
+    true (per_entry < 10.0)
+
 let ideal_rejects () =
   Alcotest.check_raises "tiny" (Invalid_argument "Network.build_ideal: need at least two nodes")
     (fun () -> ignore (Network.build_ideal ~n:1 ~links:1 (rng ())))
@@ -397,6 +424,8 @@ let () =
           quick "neighbours sorted and valid" ideal_neighbors_sorted_and_valid;
           quick "link lengths follow 1/d" ideal_link_lengths_follow_harmonic;
           quick "deterministic by seed" ideal_deterministic_by_seed;
+          quick "pinned digests" ideal_pinned_digests;
+          quick "minor words per row entry bounded" ideal_minor_words_per_edge;
           quick "rejects tiny networks" ideal_rejects;
           quick "zero long links" ideal_zero_links;
           quick "strongly connected" ideal_strongly_connected;

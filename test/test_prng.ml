@@ -71,9 +71,71 @@ let xoshiro_copy () =
   let b = Xoshiro.copy a in
   Alcotest.(check int64) "copy replays" (Xoshiro.next_int64 a) (Xoshiro.next_int64 b)
 
+(* xoshiro256** from the raw state (1, 2, 3, 4): the first two outputs
+   follow by hand (s1 = 2: rotl(10, 7) * 9 = 11520; then s1 = 0), the rest
+   pin the stream against any change to the state layout or the step. *)
+let xoshiro_state_vectors () =
+  let x = Xoshiro.of_state 1L 2L 3L 4L in
+  List.iter
+    (fun expected -> Alcotest.(check int64) "of_state 1 2 3 4" expected (Xoshiro.next_int64 x))
+    [
+      11520L;
+      0L;
+      1509978240L;
+      1215971899390074240L;
+      1216172134540287360L;
+      607988272756665600L;
+      -2273821095074991991L;
+      8476171486693032832L;
+    ]
+
+let xoshiro_next_bits_is_top_62 () =
+  let a = Xoshiro.of_int 21 and b = Xoshiro.of_int 21 in
+  for _ = 1 to 1000 do
+    Alcotest.(check int) "next_bits = next_int64 >>> 2"
+      (Int64.to_int (Int64.shift_right_logical (Xoshiro.next_int64 a) 2))
+      (Xoshiro.next_bits b)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Rng helpers                                                         *)
 (* ------------------------------------------------------------------ *)
+
+(* The first outputs of [Rng.of_int 42], pinned so that a rewrite of the
+   generator or of the float/int reductions cannot move any stream. *)
+let rng_float_stream () =
+  let rng = Rng.of_int 42 in
+  List.iter
+    (fun expected -> Alcotest.(check (float 0.0)) "Rng.float stream" expected (Rng.float rng))
+    [
+      0x1.5780b2e0c2ecp-4;
+      0x1.84136619b444ep-2;
+      0x1.5c2ea66473c93p-1;
+      0x1.d9715a8e0766cp-1;
+      0x1.fbcdb8ffc5d8bp-1;
+      0x1.8a1b4a6202f2ap-1;
+      0x1.7042a90ab4cbbp-1;
+      0x1.b3344e87d7ccp-1;
+      0x1.85d2dce4dd2ecp-1;
+      0x1.2aacc2beeebf7p-1;
+      0x1.5d6a766818207p-1;
+      0x1.29a76e61cebe2p-2;
+      0x1.9a1fdb52600d8p-1;
+      0x1.4920219692d08p-2;
+      0x1.6c1bd877e5b1p-1;
+      0x1.c16ab4d172ccep-1;
+    ]
+
+let rng_int_stream () =
+  let check bound expected =
+    let rng = Rng.of_int 42 in
+    Alcotest.(check (list int))
+      (Printf.sprintf "Rng.int %d stream" bound)
+      expected
+      (List.init 16 (fun _ -> Rng.int rng bound))
+  in
+  check 1000 [ 685; 775; 752; 48; 369; 646; 188; 601; 239; 271; 412; 473; 277; 760; 323; 342 ];
+  check 1024 [ 453; 671; 616; 40; 921; 142; 876; 33; 287; 783; 604; 601; 429; 464; 499; 510 ]
 
 let rng_int_bounds () =
   let rng = Rng.of_int 11 in
@@ -406,6 +468,48 @@ let power_law_exponent2 () =
   Alcotest.(check bool) "short fraction near 0.78" true (abs_float (rate -. 0.777) < 0.02)
 
 (* ------------------------------------------------------------------ *)
+(* Allocation budgets                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Mean minor words per call over [calls] calls, after a warmup. *)
+let words_per_call ?(calls = 100_000) f =
+  for _ = 1 to 1000 do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
+
+let check_budget name ~words per_call =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.3f minor words per call (budget %d)" name per_call words)
+    true
+    (per_call < float_of_int words +. 0.01)
+
+let alloc_rng_draws () =
+  let rng = Rng.of_int 3 in
+  let sink = ref 0 in
+  check_budget "Rng.bits" ~words:0 (words_per_call (fun () -> sink := !sink lxor Rng.bits rng));
+  check_budget "Rng.int 1000" ~words:0
+    (words_per_call (fun () -> sink := !sink + Rng.int rng 1000));
+  check_budget "Rng.int 1024" ~words:0
+    (words_per_call (fun () -> sink := !sink + Rng.int rng 1024));
+  (* The boxed float result is the only allocation. *)
+  check_budget "Rng.float" ~words:2
+    (words_per_call (fun () -> if Rng.float rng < 0.5 then incr sink));
+  ignore (Sys.opaque_identity !sink)
+
+let alloc_power_law_draw () =
+  let pl = Sample.power_law ~exponent:1.0 ~max_length:16383 in
+  let rng = Rng.of_int 4 in
+  let sink = ref 0 in
+  check_budget "power_law_draw" ~words:2
+    (words_per_call (fun () -> sink := !sink + Sample.power_law_draw pl rng ~upto:9000));
+  ignore (Sys.opaque_identity !sink)
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -434,6 +538,41 @@ let prop_power_law_in_range =
       let d = Sample.power_law_draw pl (Rng.of_int seed) ~upto in
       d >= 1 && d <= upto)
 
+(* The reference sampler: inverse CDF by bisection over the normalising
+   constants, the first d in [1, upto) whose prefix mass exceeds the target,
+   else upto. [power_law_draw] must agree on every draw, since the network
+   builders' streams depend on it. *)
+let bisect_power_law pl rng ~upto =
+  let target = Rng.float rng *. Sample.power_law_total pl ~upto in
+  let rec search lo hi =
+    if lo >= hi then lo + 1
+    else
+      let mid = (lo + hi) / 2 in
+      if Sample.power_law_total pl ~upto:(mid + 1) > target then search lo mid
+      else search (mid + 1) hi
+  in
+  search 0 (upto - 1)
+
+let prop_power_law_matches_bisection =
+  QCheck.Test.make ~name:"power_law_draw equals bisection" ~count:300
+    QCheck.(
+      quad small_int (oneofl [ 0.5; 1.0; 2.0; 3.0 ]) (int_range 1 5000)
+        (oneof [ always `One; always `Max; map (fun f -> `Frac f) (float_range 0.0 1.0) ]))
+    (fun (seed, exponent, max_length, upto) ->
+      let pl = Sample.power_law ~exponent ~max_length in
+      let upto =
+        match upto with
+        | `One -> 1
+        | `Max -> max_length
+        | `Frac f -> max 1 (min max_length (int_of_float (f *. float_of_int max_length)))
+      in
+      let rng = Rng.of_int seed in
+      List.for_all
+        (fun _ ->
+          let reference = bisect_power_law pl (Rng.copy rng) ~upto in
+          Sample.power_law_draw pl rng ~upto = reference)
+        (List.init 200 Fun.id))
+
 let prop_cdf_draw_in_range =
   QCheck.Test.make ~name:"cdf_draw returns a valid index" ~count:300
     QCheck.(pair small_int (list_of_size (Gen.int_range 1 20) (float_range 0.01 5.0)))
@@ -460,6 +599,8 @@ let () =
           quick "determinism" xoshiro_determinism;
           quick "split decorrelates" xoshiro_split_decorrelates;
           quick "copy replays" xoshiro_copy;
+          quick "of_state 1 2 3 4 vectors" xoshiro_state_vectors;
+          quick "next_bits is the top 62 bits" xoshiro_next_bits_is_top_62;
         ] );
       ( "rng",
         [
@@ -478,6 +619,8 @@ let () =
           quick "split streams differ" rng_split_streams_differ;
           quick "float_range bounds" rng_float_range_bounds;
           quick "copy replays" rng_copy_replays;
+          quick "float stream pinned" rng_float_stream;
+          quick "int stream pinned" rng_int_stream;
         ] );
       ( "samplers",
         [
@@ -503,8 +646,19 @@ let () =
           quick "power-law totals are harmonic numbers" power_law_total_matches_harmonic;
           quick "power-law exponent 2" power_law_exponent2;
         ] );
+      ( "allocation",
+        [
+          quick "rng draws within budget" alloc_rng_draws;
+          quick "power-law draw within budget" alloc_power_law_draw;
+        ] );
       ( "properties",
         List.map (fun p -> QCheck_alcotest.to_alcotest p)
-          [ prop_int_in_bound; prop_permutation; prop_power_law_in_range; prop_cdf_draw_in_range ]
+          [
+            prop_int_in_bound;
+            prop_permutation;
+            prop_power_law_in_range;
+            prop_power_law_matches_bisection;
+            prop_cdf_draw_in_range;
+          ]
       );
     ]
