@@ -65,37 +65,6 @@ let fingers_of t ~id =
   let i = successor_index t.nodes (ring_size t) id in
   Array.sub t.fingers (i * t.finger_stride) t.finger_stride
 
-(* Greedy clockwise routing: forward to the finger that gets farthest
-   around the ring without passing the target's node. One-sided by
-   construction, like the paper's Chord discussion. *)
-let route ?(max_hops = 1_000_000) t ~src ~key =
-  let target = successor t key in
-  let rec go cur hops =
-    if cur = target then Some hops
-    else if hops >= max_hops then None
-    else begin
-      let remaining = Ring.clockwise_distance t.ring ~src:cur ~dst:target in
-      let base = successor_index t.nodes (ring_size t) cur * t.finger_stride in
-      let best = ref cur and best_gain = ref 0 in
-      for j = 0 to t.finger_stride - 1 do
-        let f = t.fingers.(base + j) in
-        let gain = Ring.clockwise_distance t.ring ~src:cur ~dst:f in
-        if gain > !best_gain && gain <= remaining then begin
-          best := f;
-          best_gain := gain
-        end
-      done;
-      if !best = cur then None (* cannot happen with finger 0 present *)
-      else go !best (hops + 1)
-    end
-  in
-  go src 0
-
-let route_hops t ~src ~key =
-  match route t ~src ~key with
-  | Some h -> h
-  | None -> invalid_arg "Chord.route_hops: routing failed"
-
 (* ------------------------------------------------------------------ *)
 (* Routing under node failures                                         *)
 (* ------------------------------------------------------------------ *)
@@ -110,8 +79,15 @@ let successor_list t ~id ~r =
   let start = successor_index t.nodes (ring_size t) id in
   List.init (min r n) (fun k -> t.nodes.((start + k) mod n))
 
+(* Greedy clockwise routing: forward to the live finger that gets farthest
+   around the ring without passing the target's node. One-sided by
+   construction, like the paper's Chord discussion. *)
 let route_with_failures ?(max_hops = 1_000_000) ?(successors = 1) t ~alive ~src ~key =
   if successors < 1 then invalid_arg "Chord.route_with_failures: successors must be >= 1";
+  (* The finger scan reads the table of the node at [src]: any other
+     identifier would borrow its successor's fingers. *)
+  if t.nodes.(successor_index t.nodes (ring_size t) src) <> src then
+    invalid_arg "Chord.route_with_failures: source is not a present node";
   let target = successor t key in
   if not (alive src && alive target) then
     invalid_arg "Chord.route_with_failures: endpoint is dead";
@@ -149,6 +125,13 @@ let route_with_failures ?(max_hops = 1_000_000) ?(successors = 1) t ~alive ~src 
     end
   in
   go src 0
+
+let route ?max_hops t ~src ~key = route_with_failures ?max_hops t ~alive:(fun _ -> true) ~src ~key
+
+let route_hops t ~src ~key =
+  match route t ~src ~key with
+  | Some h -> h
+  | None -> invalid_arg "Chord.route_hops: routing failed"
 
 type failure_row = {
   fail_fraction : float;

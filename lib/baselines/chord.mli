@@ -34,7 +34,9 @@ val fingers_of : t -> id:int -> int array
 
 val route : ?max_hops:int -> t -> src:int -> key:int -> int option
 (** Hops for greedy clockwise routing from the node at [src] to the node
-    responsible for [key]; [None] only if the hop budget is exhausted. *)
+    responsible for [key]; [None] only if the hop budget is exhausted.
+    {!route_with_failures} with every node alive.
+    @raise Invalid_argument if [src] is not a present node. *)
 
 val route_hops : t -> src:int -> key:int -> int
 (** As {!route} but raising on failure (for benchmarks). *)
@@ -51,7 +53,8 @@ val route_with_failures :
 (** Greedy finger routing that skips dead fingers and falls back to the
     first live entry of an [successors]-long successor list; [None] when
     even the fallbacks are all dead (or the hop budget runs out).
-    @raise Invalid_argument if an endpoint is dead or [successors < 1]. *)
+    @raise Invalid_argument if [src] is not a present node, an endpoint is
+    dead or [successors < 1]. *)
 
 type failure_row = {
   fail_fraction : float;

@@ -1,50 +1,34 @@
-module Torus = Ftr_metric.Torus
-module Csr = Ftr_graph.Adjacency.Csr
-module I32 = Ftr_graph.Adjacency.I32
+(* A CAN-style lattice is the links = 0 instance of the generalised torus
+   construction in [Ftr_core.Multidim], routed by the same greedy kernel;
+   this module is a thin, name-stable facade over it. On a lattice every
+   strictly closer neighbour cuts the L1 distance by exactly 1, so the hop
+   count is the L1 distance, i.e. Θ(d · n^{1/d}) in the worst case. *)
 
-type t = {
-  torus : Torus.t;
-  adj : Csr.t; (* lattice neighbours, flat, preserving [Torus.neighbors] order *)
-}
+module Multidim = Ftr_core.Multidim
+module Torus = Ftr_metric.Torus
+
+type t = Multidim.t
 
 let create ~dims ~side =
   if side < 3 then invalid_arg "Lattice.create: side must be >= 3";
-  let torus = Torus.create ~dims ~side in
-  let rows = Array.init (Torus.size torus) (fun u -> Array.of_list (Torus.neighbors torus u)) in
-  { torus; adj = Csr.of_rows rows }
+  (* With no long links the build draws nothing: the generator is a
+     placeholder, never advanced, and no caller's stream is touched. *)
+  Multidim.build ~links:0 ~dims ~side (Ftr_prng.Rng.of_int 0)
 
-let torus t = t.torus
+let torus = Multidim.torus
 
-let size t = Torus.size t.torus
+let size = Multidim.size
 
-(* CAN-style greedy: only lattice neighbours, pick any that strictly
-   reduces L1 distance (first axis with a gap). Hop count equals the L1
-   distance, i.e. Θ(d · n^{1/d}) in the worst case. *)
 let route ?(max_hops = 100_000_000) t ~src ~dst =
-  if not (Torus.contains t.torus src && Torus.contains t.torus dst) then
+  if not (Torus.contains (torus t) src && Torus.contains (torus t) dst) then
     invalid_arg "Lattice.route: node off the torus";
-  let { Csr.offsets; targets } = t.adj in
-  let rec go cur hops =
-    if cur = dst then Some hops
-    else if hops >= max_hops then None
-    else begin
-      let cd = Torus.distance t.torus cur dst in
-      (* First neighbour (in [Torus.neighbors] order) strictly closer. *)
-      let next = ref (-1) in
-      let k = ref (I32.get offsets cur) in
-      while !next < 0 && !k < I32.get offsets (cur + 1) do
-        let v = I32.get targets !k in
-        if Torus.distance t.torus v dst < cd then next := v;
-        incr k
-      done;
-      if !next < 0 then None else go !next (hops + 1)
-    end
-  in
-  go src 0
+  match Multidim.route ~max_hops t ~src ~dst with
+  | Multidim.Delivered { hops } -> Some hops
+  | Multidim.Failed _ -> None
 
 let route_hops t ~src ~dst =
   match route t ~src ~dst with
   | Some h -> h
   | None -> invalid_arg "Lattice.route_hops: routing failed"
 
-let expected_hops t = float_of_int (Torus.dims t.torus) *. float_of_int (Torus.side t.torus) /. 4.0
+let expected_hops t = float_of_int (Torus.dims (torus t)) *. float_of_int (Torus.side (torus t)) /. 4.0

@@ -1,7 +1,9 @@
 (** CAN-style greedy routing on a pure d-dimensional lattice (Section 3):
     each node knows only its 2d lattice neighbours, so delivery takes
     Θ(d·n^{1/d}) hops — the paper's example of a structured overlay with
-    small state but polynomially long routes. *)
+    small state but polynomially long routes. The lattice is
+    {!Ftr_core.Multidim} with no long links, routed by the same greedy
+    kernel. *)
 
 type t
 

@@ -74,93 +74,31 @@ let route_misroute ?(max_hops = 1_000) net ~byzantine ~src ~dst =
   in
   go src 0 0
 
+(* The blackhole defences are dead-candidate policies of {!Route.greedy}:
+   senders cannot see who is Byzantine, so every candidate ranked ahead of
+   the honest pick is tried first and eats one message. Naive senders lose
+   the search there; defended ones time out, write the suspect off for
+   this search and take their next-best link. *)
 let route ?(defense = Naive) ?(max_hops = 1_000_000) net ~byzantine ~src ~dst =
   if src < 0 || src >= Network.size net || dst < 0 || dst >= Network.size net then
     invalid_arg "Byzantine.route: node out of range";
   if byzantine src || byzantine dst then invalid_arg "Byzantine.route: endpoint is Byzantine";
-  (* Tried links keyed by their CSR slot — a flat int key per (node, idx)
-     pair, so membership is one hash probe instead of a List.mem walk. *)
-  let { Ftr_graph.Adjacency.Csr.offsets; targets } = Network.csr net in
-  let module I32 = Ftr_graph.Adjacency.I32 in
-  let tried : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let record cur idx = Hashtbl.replace tried (I32.get offsets cur + idx) () in
-  let dist v = Network.distance net v dst in
-  (* Senders cannot see who is Byzantine, so candidates include them. *)
-  let best ~any cur =
-    let limit = if any then max_int else dist cur in
-    let base = I32.get offsets cur in
-    let best = ref (-1) and best_idx = ref (-1) and best_d = ref limit in
-    for k = 0 to I32.get offsets (cur + 1) - base - 1 do
-      let v = I32.get targets (base + k) in
-      if not (Hashtbl.mem tried (base + k)) then begin
-        let d = dist v in
-        if d < !best_d then begin
-          best := v;
-          best_idx := k;
-          best_d := d
-        end
-      end
-    done;
-    if !best < 0 then None else Some (!best_idx, !best)
+  let strategy, dead =
+    match defense with
+    | Naive -> (Route.Terminate, Route.Halt)
+    | Retry -> (Route.Terminate, Route.Charge)
+    | Retry_backtrack { history } ->
+        if history < 1 then invalid_arg "Byzantine.route: history must be >= 1";
+        (Route.Backtrack { history }, Route.Charge)
   in
-  match defense with
-  | Naive ->
-      (* Pure greedy; stepping onto a blackhole ends the search. *)
-      let rec go cur h =
-        if cur = dst then Delivered { hops = h; wasted = 0 }
-        else if h >= max_hops then Failed { hops = h; wasted = 0 }
-        else
-          match best ~any:false cur with
-          | None -> Failed { hops = h; wasted = 0 }
-          | Some (_, v) ->
-              if byzantine v then Failed { hops = h + 1; wasted = 1 } else go v (h + 1)
-      in
-      go src 0
-  | Retry | Retry_backtrack _ ->
-      let history_limit =
-        match defense with Retry_backtrack { history } -> history | Retry | Naive -> 0
-      in
-      let trim l =
-        let rec take k = function
-          | [] -> []
-          | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
-        in
-        take history_limit l
-      in
-      let wasted = ref 0 in
-      let rec forward cur h hist =
-        if cur = dst then Delivered { hops = h; wasted = !wasted }
-        else if h >= max_hops then Failed { hops = h; wasted = !wasted }
-        else
-          match best ~any:false cur with
-          | Some (idx, v) ->
-              record cur idx;
-              if byzantine v then begin
-                (* The blackhole ate one message; the sender times out and
-                   tries its next candidate. *)
-                incr wasted;
-                forward cur (h + 1) hist
-              end
-              else forward v (h + 1) (trim (cur :: hist))
-          | None -> backtrack cur h hist
-      and backtrack stuck h = function
-        | [] -> Failed { hops = h; wasted = !wasted }
-        | y :: rest ->
-            let h = h + 1 in
-            if h >= max_hops then Failed { hops = h; wasted = !wasted }
-            else begin
-              match best ~any:true y with
-              | Some (idx, v) ->
-                  record y idx;
-                  if byzantine v then begin
-                    incr wasted;
-                    backtrack stuck h (y :: rest)
-                  end
-                  else forward v (h + 1) (trim (y :: rest))
-              | None -> backtrack y h rest
-            end
-      in
-      forward src 0 []
+  let tally = { Route.wasted = 0; backtracks = 0 } in
+  match
+    Route.greedy
+      ~failures:(Failure.make ~node_alive:(fun v -> not (byzantine v)) ())
+      ~strategy ~max_hops ~dead ~tally (Network.csr net) (Route.network_distance net) ~src ~dst
+  with
+  | Route.Delivered { hops } -> Delivered { hops; wasted = tally.wasted }
+  | Route.Failed { hops; _ } -> Failed { hops; wasted = tally.wasted }
 
 type sweep_row = {
   byzantine_fraction : float;

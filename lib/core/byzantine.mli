@@ -47,8 +47,10 @@ val route :
   src:int ->
   dst:int ->
   outcome
-(** Route under the blackhole adversary.
-    @raise Invalid_argument if an endpoint is out of range or Byzantine. *)
+(** Route under the blackhole adversary: {!Route.greedy} with the Byzantine
+    nodes as the dead set, under its [Halt] ({!Naive}) or [Charge] policy.
+    @raise Invalid_argument if an endpoint is out of range or Byzantine, or
+    a {!Retry_backtrack} history is below 1. *)
 
 type sweep_row = {
   byzantine_fraction : float;

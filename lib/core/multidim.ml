@@ -1,7 +1,6 @@
 module Torus = Ftr_metric.Torus
 module Sample = Ftr_prng.Sample
 module Csr = Ftr_graph.Adjacency.Csr
-module I32 = Ftr_graph.Adjacency.I32
 
 type t = {
   torus : Torus.t;
@@ -80,84 +79,26 @@ let hops = function Delivered { hops } -> hops | Failed { hops; _ } -> hops
 type strategy = Terminate | Backtrack of { history : int }
 
 (* Greedy routing with node failures and the Section 6 stuck-message
-   strategies, lifted to the torus. The same semantics as {!Route} on the
-   line: forward to the live neighbour closest to the target; when stuck,
-   terminate or backtrack through a bounded history (where a backtracked
-   node may route around a hole through a farther neighbour). *)
+   strategies, lifted to the torus: the line model's {!Route.greedy} over
+   the torus rows with the wraparound L1 distance. *)
 let route ?(alive = fun _ -> true) ?(strategy = Terminate) ?(max_hops = 1_000_000) t ~src ~dst =
   if not (Torus.contains t.torus src && Torus.contains t.torus dst) then
     invalid_arg "Multidim.route: node off the torus";
   if not (alive src && alive dst) then invalid_arg "Multidim.route: endpoint is dead";
-  let dist u = Torus.distance t.torus u dst in
-  (* Tried links keyed by their flat CSR slot: one hash probe per
-     candidate instead of a List.mem walk over a per-node list. *)
-  let { Csr.offsets; targets } = t.adj in
-  let tried : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let best ~any cur =
-    let limit = if any then max_int else dist cur in
-    let base = I32.get offsets cur in
-    let best = ref (-1) and best_idx = ref (-1) and best_d = ref limit in
-    for k = 0 to I32.get offsets (cur + 1) - base - 1 do
-      let v = I32.get targets (base + k) in
-      if alive v && not (Hashtbl.mem tried (base + k)) then begin
-        let d = dist v in
-        if d < !best_d then begin
-          best := v;
-          best_idx := k;
-          best_d := d
-        end
-      end
-    done;
-    if !best < 0 then None else Some (!best_idx, !best)
-  in
-  let record cur idx =
+  let strategy =
     match strategy with
-    | Backtrack _ -> Hashtbl.replace tried (I32.get offsets cur + idx) ()
-    | Terminate -> ()
+    | Terminate -> Route.Terminate
+    | Backtrack { history } ->
+        if history < 1 then invalid_arg "Multidim.route: history must be >= 1";
+        Route.Backtrack { history }
   in
-  match strategy with
-  | Terminate ->
-      let rec go cur h =
-        if cur = dst then Delivered { hops = h }
-        else if h >= max_hops then Failed { hops = h; stuck_at = cur }
-        else
-          match best ~any:false cur with
-          | Some (_, v) -> go v (h + 1)
-          | None -> Failed { hops = h; stuck_at = cur }
-      in
-      go src 0
-  | Backtrack { history = limit } ->
-      if limit < 1 then invalid_arg "Multidim.route: history must be >= 1";
-      let trim l =
-        let rec take k = function
-          | [] -> []
-          | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
-        in
-        take limit l
-      in
-      let rec forward cur h hist =
-        if cur = dst then Delivered { hops = h }
-        else if h >= max_hops then Failed { hops = h; stuck_at = cur }
-        else
-          match best ~any:false cur with
-          | Some (idx, v) ->
-              record cur idx;
-              forward v (h + 1) (trim (cur :: hist))
-          | None -> backtrack cur h hist
-      and backtrack stuck h = function
-        | [] -> Failed { hops = h; stuck_at = stuck }
-        | y :: rest ->
-            let h = h + 1 in
-            if h >= max_hops then Failed { hops = h; stuck_at = y }
-            else begin
-              match best ~any:true y with
-              | Some (idx, v) ->
-                  record y idx;
-                  forward v (h + 1) (trim (y :: rest))
-              | None -> backtrack y h rest
-            end
-      in
-      forward src 0 []
+  let distance = Route.Metric { dist = Torus.distance t.torus; admissible = None } in
+  match
+    Route.greedy ~failures:(Failure.make ~node_alive:alive ()) ~strategy ~max_hops t.adj distance
+      ~src ~dst
+  with
+  | Route.Delivered { hops } -> Delivered { hops }
+  | Route.Failed { hops; stuck_at; _ } -> Failed { hops; stuck_at }
 
 let route_hops ?alive ?strategy ?max_hops t ~src ~dst =
   match route ?alive ?strategy ?max_hops t ~src ~dst with

@@ -55,8 +55,9 @@ val route :
   outcome
 (** Greedy routing toward [dst] over live nodes, with the line model's
     stuck-message semantics (terminate, or backtrack through a bounded
-    history with hole-circumvention).
-    @raise Invalid_argument on off-torus or dead endpoints. *)
+    history with hole-circumvention): {!Route.greedy} over the torus rows.
+    @raise Invalid_argument on off-torus or dead endpoints, or a history
+    below 1. *)
 
 val route_hops : ?alive:(int -> bool) -> ?strategy:strategy -> ?max_hops:int -> t -> src:int -> dst:int -> int
 (** As {!route} but raising on failure (for benchmarks). *)

@@ -1,6 +1,7 @@
 (* ftr-lint: hot -- greedy routing inner loop, docs/MEMORY_LAYOUT.md budget applies *)
 
 module Bitset = Ftr_graph.Bitset
+module Csr = Ftr_graph.Adjacency.Csr
 module I32 = Ftr_graph.Adjacency.I32
 
 type side = One_sided | Two_sided
@@ -45,13 +46,10 @@ type scratch = {
   mutable bt_hist : int array;
 }
 
-let scratch net =
-  let c = Network.csr net in
-  {
-    stamps = Array.make (max 1 (Ftr_graph.Adjacency.Csr.edge_count c)) 0;
-    epoch = 0;
-    bt_hist = [||];
-  }
+let scratch_of_csr c =
+  { stamps = Array.make (max 1 (Csr.edge_count c)) 0; epoch = 0; bt_hist = [||] }
+
+let scratch net = scratch_of_csr (Network.csr net)
 
 (* Stand-in for strategies that never record tried links ({!Terminate},
    {!Random_reroute}) when the caller supplied no scratch: never read or
@@ -70,15 +68,15 @@ let dls_scratch : scratch option ref Domain.DLS.key =
    must be returned to, when it came from one. [borrow_scratch] and
    [restore_scratch] are the named seams the flow lint's route-scratch
    typestate rule (D2, docs/LINTING.md) tracks: every borrow must reach
-   [restore_scratch] on all paths, which the [Fun.protect] in [route]
+   [restore_scratch] on all paths, which the [Fun.protect] in [greedy]
    guarantees even on the sanitizer's exception paths. *)
 type borrowed = { bs : scratch; bs_home : scratch option ref option }
 
-let borrow_scratch ?scr ~tracking net =
+let borrow_scratch ?scr ~tracking csr =
   match scr with
   | Some s -> { bs = s; bs_home = None }
   (* Selected only when tracking is off, and every scratch write in
-     [route] is tracking-guarded: a shared read-only sentinel.
+     [greedy] is tracking-guarded: a shared read-only sentinel.
      ftr-lint: disable T1 *)
   | None when not tracking -> { bs = dummy_scratch; bs_home = None }
   | None ->
@@ -88,77 +86,83 @@ let borrow_scratch ?scr ~tracking net =
         | Some s ->
             cell := None;
             s
-        | None -> scratch net
+        | None -> scratch_of_csr csr
       in
       { bs = s; bs_home = Some cell }
 
 let restore_scratch b = match b.bs_home with Some cell -> cell := Some b.bs | None -> ()
 
+type distance =
+  | Sorted_line of I32.t
+  | Metric of { dist : int -> int -> int; admissible : (cur:int -> int -> dst:int -> bool) option }
+
+(* The two-sided line distance is computed inline — one array load and
+   some integer arithmetic per candidate; every other metric goes through
+   its function. Callers have checked that [positions] covers [v] and
+   [target]. *)
+let dist_to distance v target =
+  match distance with
+  | Sorted_line positions ->
+      let d = I32.unsafe_get positions v - I32.unsafe_get positions target in
+      if d < 0 then -d else d
+  | Metric { dist; _ } -> dist v target
+
+let admits distance ~cur v ~dst =
+  match distance with
+  | Metric { admissible = Some f; _ } -> f ~cur v ~dst
+  | Metric { admissible = None; _ } | Sorted_line _ -> true
+
 (* Sanitizer hook: a hop chosen in [`Strict] mode must obey the greedy
    contract — strictly decrease the routing distance, and on one-sided
-   networks never overshoot the target (Section 4.2.1). [best_neighbor]
+   networks never overshoot the target (Section 4.2.1). The kernel's scan
    establishes this by construction; the check guards against regressions
    in the candidate filter. *)
-let debug_check_strict_hop net ~side ~cur ~v ~dst =
+let debug_check_strict_hop distance ~cur ~v ~dst =
   if Ftr_debug.Debug.enabled () then begin
-    let rd = match side with One_sided -> `One_sided | Two_sided -> `Two_sided in
-    let dv = Network.routing_distance net ~side:rd ~src:v ~dst
-    and dc = Network.routing_distance net ~side:rd ~src:cur ~dst in
+    let dv = dist_to distance v dst and dc = dist_to distance cur dst in
     if dv >= dc then
-      Ftr_debug.Debug.failf
-        "Route: strict hop %d -> %d fails to approach %d (distance %d >= %d)" cur v dst dv dc;
-    if side = One_sided && not (Network.one_sided_admissible net ~cur ~v ~dst) then
+      Ftr_debug.Debug.failf "Route: strict hop %d -> %d fails to approach %d (distance %d >= %d)"
+        cur v dst dv dc;
+    if not (admits distance ~cur v ~dst) then
       Ftr_debug.Debug.failf "Route: one-sided hop %d -> %d overshoots target %d" cur v dst
   end
 
-let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
-    ?(max_hops = 1_000_000) ?rng ?scratch:scr ?(on_hop = fun _ -> ()) net ~src ~dst =
-  let n = Network.size net in
-  if src < 0 || src >= n || dst < 0 || dst >= n then invalid_arg "Route.route: node out of range";
-  if not (Failure.node_alive failures dst) then invalid_arg "Route.route: destination is dead";
-  if not (Failure.node_alive failures src) then invalid_arg "Route.route: source is dead";
-  (* Telemetry: one bool load here is the whole cost when FTR_OBS is off —
-     the unwrapped [on_hop] is passed through untouched and no metric or
-     event code runs. When on, every hop feeds the (sampled) JSONL stream
-     through the existing [on_hop] seam and the outcome feeds the
-     route_hops histogram and stuck-reason counters below. *)
-  let obs = Ftr_obs.Flag.enabled () in
-  (* Flight recorder (docs/OBSERVABILITY.md, "Tracing"): [tr] is the
-     shared null sentinel unless FTR_OBS and the recorder are both on, and
-     every recording call below hides behind [tracing] — one immediate
-     bool per check — so the hot loops stay branch-cheap and
-     allocation-free when tracing is off. All trace allocation happens
-     inside [Ftr_obs.Tracing], never in this file's loops. *)
-  let tr = if obs then Ftr_obs.Tracing.begin_route ~src ~dst else Ftr_obs.Tracing.null in
-  let tracing = Ftr_obs.Flag.enabled () && Ftr_obs.Tracing.is_live tr in
-  if tracing then
-    Ftr_obs.Tracing.set_context tr
-      ~nodes:(Failure.node_view_label failures)
-      ~links:(Failure.link_view_label failures)
-      ~strategy:(strategy_label strategy);
-  let on_hop =
-    if obs then begin
-      let hop_no = ref 0 in
-      fun v ->
-        incr hop_no;
-        if tracing then Ftr_obs.Tracing.hop tr ~node:v;
-        Ftr_obs.Events.emit ~kind:"route.hop"
-          [
-            ("src", Ftr_obs.Json.Int src);
-            ("dst", Ftr_obs.Json.Int dst);
-            ("hop", Ftr_obs.Json.Int !hop_no);
-            ("node", Ftr_obs.Json.Int v);
-          ];
-        on_hop v
-    end
-    else on_hop
+type on_dead = Skip | Charge | Halt
+
+type tally = { mutable wasted : int; mutable backtracks : int }
+
+(* The greedy kernel (see the interface). It emits no metrics or events:
+   [tr] is its only telemetry seam. *)
+let greedy ?(failures = Failure.none) ?(strategy = Terminate) ?(max_hops = 1_000_000) ?rng
+    ?scratch:scr ?(on_hop = fun _ -> ()) ?(dead = Skip) ?tr ?tally csr
+    distance ~src ~dst =
+  let { Csr.offsets; targets } = csr in
+  let n = Csr.size csr in
+  if src < 0 || src >= n || dst < 0 || dst >= n then invalid_arg "Route.greedy: node out of range";
+  (match distance with
+  | Sorted_line positions when I32.length positions < n ->
+      invalid_arg "Route.greedy: fewer positions than nodes"
+  | Sorted_line _ | Metric _ -> ());
+  (* Flight recorder (docs/OBSERVABILITY.md, "Tracing"): nothing is
+     recorded unless the caller passed a live trace, and every recording
+     call below hides behind [tracing] — one immediate bool per check — so
+     the hot loops stay branch-cheap and allocation-free when tracing is
+     off. All trace allocation happens inside [Ftr_obs.Tracing], never in
+     this file's loops. The [when tracing] guards in the seams re-check
+     the gate so each write is gated on its own path (rule D1). *)
+  let tracing =
+    Ftr_obs.Flag.enabled () && match tr with Some t -> Ftr_obs.Tracing.is_live t | None -> false
   in
-  let { Ftr_graph.Adjacency.Csr.offsets; targets } = Network.csr net in
+  let candidate ~cur ~cand ~dist verdict =
+    match tr with
+    | Some t when tracing -> Ftr_obs.Tracing.candidate t ~cur ~cand ~dist verdict
+    | Some _ | None -> ()
+  in
   (* Only {!Backtrack} records tried links; the other strategies skip both
      the stamp array (epoch 0 is the "no tracking" sentinel below) and its
      allocation when the caller supplied no scratch. *)
   let tracking = match strategy with Backtrack _ -> true | Terminate | Random_reroute _ -> false in
-  let borrowed = borrow_scratch ?scr ~tracking net in
+  let borrowed = borrow_scratch ?scr ~tracking csr in
   let s = borrowed.bs in
   let stamps, epoch =
     if tracking then begin
@@ -180,38 +184,39 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
   let node_bits = Failure.node_alive_bits failures in
   let node_all = Failure.node_all_alive failures in
   let link_all = Failure.link_all_alive failures in
-  (* Geometry resolved once per route so the candidate scan can compute
-     two-sided distances inline — one array load and some integer
-     arithmetic per candidate instead of a call into [Network]. One-sided
-     routing keeps the generic path (it also needs the overshoot test). *)
-  let positions = Network.positions net in
-  let lsize = Network.line_size net in
-  let circle = match Network.geometry net with Network.Circle -> true | Network.Line -> false in
-  let two_sided = match side with Two_sided -> true | One_sided -> false in
-  let rd = match side with One_sided -> `One_sided | Two_sided -> `Two_sided in
-  (* Winning candidate of the last successful [best_neighbor] scan; mutable
-     result slots instead of an allocated [Some (idx, v)] pair per hop. *)
-  let found_idx = ref (-1) and found_node = ref (-1) in
-  (* Best live untried neighbour of [cur], subject to the one-sided
-     no-overshoot rule when requested. In [`Strict] mode only neighbours
-     strictly closer to [dst] qualify (the greedy rule); in [`Any] mode
-     every untried live neighbour qualifies, still ranked by distance to
-     [dst] — used when resuming from a backtracked node, where the "next
-     best neighbour" may have to route around a hole. Ties go to the first
-     candidate in sorted-position order, matching "ties broken arbitrarily"
-     (Section 4.2.1) deterministically. Writes the winning
-     (index-into-row, node) pair into [found_idx]/[found_node] and returns
-     whether one exists. *)
+  let charging = match dead with Skip -> false | Charge | Halt -> true in
   (* Unsafe I32/array reads below are justified by construction-time CSR
      validation ([Adjacency.Csr.validate], re-checked by the Check
      battery): every target is a node index in [0, n), every slot is below
-     [offsets.(n)], and [stamps] is kept at least that long. The I32 reads
-     are allocation-free: the [Int32.to_int] in the accessor cancels the
+     [offsets.(n)], [stamps] is kept at least that long, and the line's
+     positions were checked to cover every node above. The I32 reads are
+     allocation-free: the [Int32.to_int] in the accessor cancels the
      Bigarray box (see Adjacency.I32). *)
-  let dist_to ~dst_pos v =
-    let d = I32.unsafe_get positions v - dst_pos in
-    let d = if d < 0 then -d else d in
-    if circle then min d (lsize - d) else d
+  let node_live v =
+    match node_bits with
+    | Some b -> Bitset.unsafe_get b v
+    | None -> node_all || Failure.node_alive failures v
+  in
+  (* Winning candidate of the last successful [best_neighbor] scan, and the
+     dead candidates it charged; mutable result slots instead of an
+     allocated [Some (idx, v)] pair per hop. *)
+  let found_idx = ref (-1) and found_node = ref (-1) and charged = ref 0 and wasted = ref 0 in
+  (* The {!Charge}/{!Halt} policy for a candidate ranked ahead of the pick:
+     only a dead node behind a usable, untried link costs a hop. Returns
+     whether the scan must stop — on {!Halt}, or when the charges have
+     used up the [room] left in the hop budget. *)
+  let charge ~cur ~base ~k ~v ~room =
+    if
+      (link_all || Failure.link_alive failures ~src:cur ~idx:k)
+      && (not (node_live v))
+      && (epoch = 0 || Array.unsafe_get stamps (base + k) <> epoch)
+    then begin
+      incr charged;
+      incr wasted;
+      if epoch <> 0 then Array.unsafe_set stamps (base + k) epoch;
+      match dead with Halt -> true | Skip | Charge -> !charged >= room
+    end
+    else false
   in
   (* Flight-recorder verdict for a candidate the liveness conjunction
      rejected: re-run the conjuncts one by one to name the first that
@@ -226,30 +231,33 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
       let verdict =
         if not (link_all || Failure.link_alive failures ~src:cur ~idx:k) then
           Ftr_obs.Tracing.Dead_link
-        else if
-          not
-            (match node_bits with
-            | Some b -> Bitset.unsafe_get b v
-            | None -> node_all || Failure.node_alive failures v)
-        then Ftr_obs.Tracing.Dead_node
+        else if not (node_live v) then Ftr_obs.Tracing.Dead_node
         else if epoch <> 0 && Array.unsafe_get stamps (base + k) = epoch then
           Ftr_obs.Tracing.Already_tried
         else Ftr_obs.Tracing.Not_closer
       in
-      Ftr_obs.Tracing.candidate tr ~cur ~cand:v ~dist verdict
+      candidate ~cur ~cand:v ~dist verdict
     end
   in
-  let best_neighbor ~mode ~cur ~dst =
-    let dst_pos = I32.unsafe_get positions dst in
-    let cur_dist =
-      if two_sided then dist_to ~dst_pos cur
-      else Network.routing_distance net ~side:rd ~src:cur ~dst
-    in
+  (* Best live untried neighbour of [cur], subject to the one-sided
+     no-overshoot rule when the metric has one. In [`Strict] mode only
+     neighbours strictly closer to [dst] qualify (the greedy rule); in
+     [`Any] mode every untried live neighbour qualifies, still ranked by
+     distance to [dst] — used when resuming from a backtracked node, where
+     the "next best neighbour" may have to route around a hole. Ties go to
+     the first candidate in row order, matching "ties broken arbitrarily"
+     (Section 4.2.1) deterministically. Writes the winning (index-into-row,
+     node) pair into [found_idx]/[found_node], the dead candidates ranked
+     ahead of it into [charged], and returns whether a pick exists. *)
+  let best_neighbor ~mode ~cur ~dst ~room =
+    charged := 0;
+    let cur_dist = dist_to distance cur dst in
     let base = I32.unsafe_get offsets cur in
     let deg = I32.unsafe_get offsets (cur + 1) - base in
     let limit = match mode with `Strict -> cur_dist | `Any -> max_int in
     let best = ref (-1) and best_idx = ref (-1) and best_dist = ref limit in
-    if two_sided && not circle then begin
+    (match distance with
+    | Sorted_line positions ->
       (* Line fast path, exploiting the per-row sorted invariant: the live
          neighbour closest to [dst] is found by bisecting the row to the
          two entries bracketing [dst_pos] and walking the brackets outward
@@ -257,11 +265,13 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
          candidate. Equivalent to the full scan below: that scan keeps the
          minimum-distance live candidate, ties to the earliest row entry —
          i.e. the smaller position, which is exactly the left bracket this
-         merge prefers on ties ([dl <= dr]). (When duplicate row entries
-         name one node, the two orders can record a different *slot* in
-         [stamps], but the slots alias the same node with the same
-         remaining multiplicity, so the visited-node sequence — and the
-         outcome — is unchanged.) *)
+         merge prefers on ties ([dl <= dr]). The walk meets the dead
+         candidates ahead of the pick in rank order, so it charges them as
+         it goes. (When duplicate row entries name one node, the two orders
+         can record a different *slot* in [stamps], but the slots alias
+         the same node with the same remaining multiplicity, so the
+         visited-node sequence — and the outcome — is unchanged.) *)
+      let dst_pos = I32.unsafe_get positions dst in
       let lo = ref 0 and hi = ref deg in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
@@ -302,12 +312,13 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
           end
           else begin
             if tracing then record_excluded ~cur ~k ~v ~dist:d;
-            if take_left then decr l else incr r
+            if charging && charge ~cur ~base ~k ~v ~room then scanning := false
+            else if take_left then decr l
+            else incr r
           end
         end
       done
-    end
-    else
+    | Metric { dist; _ } ->
       for k = 0 to deg - 1 do
         let v = I32.unsafe_get targets (base + k) in
         let live =
@@ -318,37 +329,45 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
           && (epoch = 0 || Array.unsafe_get stamps (base + k) <> epoch)
         in
         if live then begin
-          let v_dist =
-            if two_sided then dist_to ~dst_pos v
-            else Network.routing_distance net ~side:rd ~src:v ~dst
-          in
-          let admissible =
-            v_dist < !best_dist
-            && (two_sided || Network.one_sided_admissible net ~cur ~v ~dst)
-          in
+          let v_dist = dist v dst in
+          let admissible = v_dist < !best_dist && admits distance ~cur v ~dst in
           if admissible then begin
             (* A superseded provisional best was examined and not taken:
                record it so the trace names every also-ran. *)
             if tracing && !best >= 0 then
-              Ftr_obs.Tracing.candidate tr ~cur ~cand:!best ~dist:!best_dist
-                Ftr_obs.Tracing.Not_best;
+              candidate ~cur ~cand:!best ~dist:!best_dist Ftr_obs.Tracing.Not_best;
             best := v;
             best_idx := k;
             best_dist := v_dist
           end
           else if tracing then
-            Ftr_obs.Tracing.candidate tr ~cur ~cand:v ~dist:v_dist
+            candidate ~cur ~cand:v ~dist:v_dist
               (if v_dist >= limit then Ftr_obs.Tracing.Not_closer
-               else if not (two_sided || Network.one_sided_admissible net ~cur ~v ~dst) then
-                 Ftr_obs.Tracing.Overshoot
+               else if not (admits distance ~cur v ~dst) then Ftr_obs.Tracing.Overshoot
                else Ftr_obs.Tracing.Not_best)
         end
-        else if tracing then
-          record_excluded ~cur ~k ~v
-            ~dist:
-              (if two_sided then dist_to ~dst_pos v
-               else Network.routing_distance net ~side:rd ~src:v ~dst)
+        else if tracing then record_excluded ~cur ~k ~v ~dist:(dist v dst)
       done;
+      (* A second pass charges the dead candidates that rank ahead of the
+         pick — closer, or as close and earlier in the row — exactly the
+         ones a sender re-scanning after each loss would have tried
+         first. *)
+      if charging then begin
+        let k = ref 0 in
+        while !k < deg do
+          let v = I32.unsafe_get targets (base + !k) in
+          let d = dist v dst in
+          if
+            (d < !best_dist || (d = !best_dist && !k < !best_idx))
+            && admits distance ~cur v ~dst
+            && charge ~cur ~base ~k:!k ~v ~room
+          then begin
+            best := -1;
+            k := deg
+          end
+          else incr k
+        done
+      end);
     if !best < 0 then false
     else begin
       found_idx := !best_idx;
@@ -366,19 +385,19 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
   let greedy_leg ~start ~target ~hops =
     let cur = ref start and h = ref hops and stop = ref false in
     while (not !stop) && !cur <> target && !h < max_hops do
-      if best_neighbor ~mode:`Strict ~cur:!cur ~dst:target then begin
+      let found = best_neighbor ~mode:`Strict ~cur:!cur ~dst:target ~room:(max_hops - !h) in
+      h := !h + !charged;
+      if found then begin
         let v = !found_node in
-        debug_check_strict_hop net ~side ~cur:!cur ~v ~dst:target;
+        debug_check_strict_hop distance ~cur:!cur ~v ~dst:target;
         if tracing then
-          Ftr_obs.Tracing.candidate tr ~cur:!cur ~cand:v
-            ~dist:(Network.routing_distance net ~side:rd ~src:v ~dst:target)
-            Ftr_obs.Tracing.Chosen;
+          candidate ~cur:!cur ~cand:v ~dist:(dist_to distance v target) Ftr_obs.Tracing.Chosen;
         record_tried !cur !found_idx;
         cur := v;
         incr h;
         on_hop v
       end
-      else stop := true
+      else if !h < max_hops then stop := true
     done;
     (!cur, !h, (!cur <> target && not !stop))
   in
@@ -394,6 +413,7 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
         in
         attempt 0
   in
+  let backtracks = ref 0 in
   let outcome =
   (* [finally] returns the borrowed domain-local scratch even on the
      sanitizer's exception paths. *)
@@ -415,7 +435,8 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
           match random_live_node () with
           | None -> Failed { hops = h; stuck_at = terminus; reason = No_live_reroute_target }
           | Some r ->
-              if tracing then Ftr_obs.Tracing.reroute tr ~from_node:terminus ~target:r;
+              if tracing then
+                Option.iter (fun t -> Ftr_obs.Tracing.reroute t ~from_node:terminus ~target:r) tr;
               (* Carry the message to the random intermediate (or as close
                  as greedy gets), then resume toward the destination. *)
               let mid, h, out_of_budget = greedy_leg ~start:terminus ~target:r ~hops:h in
@@ -448,56 +469,111 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
         decr hist_len;
         y
       in
-      let rec forward cur h =
-        if cur = dst then Delivered { hops = h }
-        else if h >= max_hops then Failed { hops = h; stuck_at = cur; reason = Hop_limit }
-        else if best_neighbor ~mode:`Strict ~cur ~dst then begin
+      (* Move from [cur] to the scan's pick, or report the node stuck —
+         by the hop budget when the charges for dead candidates used it
+         up. *)
+      let rec step ~mode cur h =
+        let found = best_neighbor ~mode ~cur ~dst ~room:(max_hops - h) in
+        let h = h + !charged in
+        if found then begin
           let v = !found_node in
-          debug_check_strict_hop net ~side ~cur ~v ~dst;
+          (match mode with `Strict -> debug_check_strict_hop distance ~cur ~v ~dst | `Any -> ());
           if tracing then
-            Ftr_obs.Tracing.candidate tr ~cur ~cand:v
-              ~dist:(Network.routing_distance net ~side:rd ~src:v ~dst)
-              Ftr_obs.Tracing.Chosen;
+            candidate ~cur ~cand:v ~dist:(dist_to distance v dst) Ftr_obs.Tracing.Chosen;
           record_tried cur !found_idx;
           on_hop v;
           push cur;
           forward v (h + 1)
         end
+        else if h >= max_hops then Failed { hops = h; stuck_at = cur; reason = Hop_limit }
         else backtrack cur h
+      and forward cur h =
+        if cur = dst then Delivered { hops = h }
+        else if h >= max_hops then Failed { hops = h; stuck_at = cur; reason = Hop_limit }
+        else step ~mode:`Strict cur h
       and backtrack stuck h =
         if !hist_len = 0 then Failed { hops = h; stuck_at = stuck; reason = No_live_neighbor }
         else begin
           let y = pop () in
           (* Travelling back to the previous node costs a hop. *)
-          if obs then Ftr_obs.Metrics.incr "route_backtracks_total";
-          if tracing then Ftr_obs.Tracing.backtrack tr ~from_node:stuck ~to_node:y;
+          incr backtracks;
+          if tracing then
+            Option.iter (fun t -> Ftr_obs.Tracing.backtrack t ~from_node:stuck ~to_node:y) tr;
           let h = h + 1 in
           on_hop y;
           if h >= max_hops then Failed { hops = h; stuck_at = y; reason = Hop_limit }
-          else if
+          else
             (* "Chooses the next best neighbour": once the strictly closer
                options of [y] are exhausted, the search is allowed to route
                around the hole through a farther neighbour — without this,
                delivery would require a monotone live path, and the failure
                fractions of Figure 6 are unreachable. *)
-            best_neighbor ~mode:`Any ~cur:y ~dst
-          then begin
-            let v = !found_node in
-            if tracing then
-              Ftr_obs.Tracing.candidate tr ~cur:y ~cand:v
-                ~dist:(Network.routing_distance net ~side:rd ~src:v ~dst)
-                Ftr_obs.Tracing.Chosen;
-            record_tried y !found_idx;
-            on_hop v;
-            push y;
-            forward v (h + 1)
-          end
-          else backtrack y h
+            step ~mode:`Any y h
         end
       in
       forward src 0
   in
+  (match tally with
+  | Some t ->
+      t.wasted <- t.wasted + !wasted;
+      t.backtracks <- t.backtracks + !backtracks
+  | None -> ());
+  outcome
+
+let network_distance ?(side = Two_sided) net =
+  match (side, Network.geometry net) with
+  | Two_sided, Network.Line -> Sorted_line (Network.positions net)
+  | Two_sided, Network.Circle -> Metric { dist = Network.distance net; admissible = None }
+  | One_sided, _ ->
+      Metric
+        {
+          dist = (fun v t -> Network.routing_distance net ~side:`One_sided ~src:v ~dst:t);
+          admissible = Some (fun ~cur v ~dst -> Network.one_sided_admissible net ~cur ~v ~dst);
+        }
+
+let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
+    ?(max_hops = 1_000_000) ?rng ?scratch ?(on_hop = fun _ -> ()) net ~src ~dst =
+  let n = Network.size net in
+  if src < 0 || src >= n || dst < 0 || dst >= n then invalid_arg "Route.route: node out of range";
+  if not (Failure.node_alive failures dst) then invalid_arg "Route.route: destination is dead";
+  if not (Failure.node_alive failures src) then invalid_arg "Route.route: source is dead";
+  (* Telemetry: one bool load here is the whole cost when FTR_OBS is off —
+     the unwrapped [on_hop] is passed through untouched and no metric or
+     event code runs. When on, every hop feeds the (sampled) JSONL stream
+     through the existing [on_hop] seam and the outcome feeds the
+     route_hops histogram and stuck-reason counters below. *)
+  let obs = Ftr_obs.Flag.enabled () in
+  let tr = if obs then Ftr_obs.Tracing.begin_route ~src ~dst else Ftr_obs.Tracing.null in
+  let tracing = Ftr_obs.Flag.enabled () && Ftr_obs.Tracing.is_live tr in
+  if tracing then
+    Ftr_obs.Tracing.set_context tr
+      ~nodes:(Failure.node_view_label failures)
+      ~links:(Failure.link_view_label failures)
+      ~strategy:(strategy_label strategy);
+  let on_hop =
+    if obs then begin
+      let hop_no = ref 0 in
+      fun v ->
+        incr hop_no;
+        if tracing then Ftr_obs.Tracing.hop tr ~node:v;
+        Ftr_obs.Events.emit ~kind:"route.hop"
+          [
+            ("src", Ftr_obs.Json.Int src);
+            ("dst", Ftr_obs.Json.Int dst);
+            ("hop", Ftr_obs.Json.Int !hop_no);
+            ("node", Ftr_obs.Json.Int v);
+          ];
+        on_hop v
+    end
+    else on_hop
+  in
+  let tally = { wasted = 0; backtracks = 0 } in
+  let outcome =
+    greedy ~failures ~strategy ~max_hops ?rng ?scratch ~on_hop ~tr ~tally (Network.csr net)
+      (network_distance ~side net) ~src ~dst
+  in
   if obs then begin
+    if tally.backtracks > 0 then Ftr_obs.Metrics.incr_by "route_backtracks_total" tally.backtracks;
     (match outcome with
     | Delivered { hops = h } ->
         Ftr_obs.Metrics.incr "route_delivered_total";

@@ -84,6 +84,59 @@ val route :
     (outcomes are identical with or without it).
     @raise Invalid_argument if an endpoint is out of range or dead. *)
 
+(** {1 The greedy kernel}
+
+    The one candidate scan and Section 6 strategy loop behind {!route},
+    {!Multidim.route} and {!Byzantine.route}: epoch-stamped tried slots,
+    the ring-buffer backtrack window and the hop budget, over any CSR
+    candidate source. *)
+
+type distance =
+  | Sorted_line of Ftr_graph.Adjacency.I32.t
+      (** Two-sided distance between these positions on a line with sorted
+          rows: the scan bisects each row, with no call per candidate. *)
+  | Metric of { dist : int -> int -> int; admissible : (cur:int -> int -> dst:int -> bool) option }
+      (** [dist v target]; [admissible], when present, additionally
+          filters candidates (the one-sided no-overshoot rule). *)
+
+val network_distance : ?side:side -> Network.t -> distance
+(** The distance {!route} routes a network by (default two-sided):
+    {!Sorted_line} on a two-sided line, the network's metric otherwise. *)
+
+type on_dead =
+  | Skip  (** a dead candidate is passed over for free (crash failures) *)
+  | Charge
+      (** each dead candidate ranked ahead of the pick costs one hop (a
+          wasted message) and is never tried again in this route *)
+  | Halt  (** the first dead candidate ranked ahead of the pick ends the route *)
+
+type tally = { mutable wasted : int; mutable backtracks : int }
+(** Counts a {!greedy} run adds to: messages charged to dead candidates,
+    and backtrack steps. *)
+
+val greedy :
+  ?failures:Failure.t ->
+  ?strategy:strategy ->
+  ?max_hops:int ->
+  ?rng:Ftr_prng.Rng.t ->
+  ?scratch:scratch ->
+  ?on_hop:(int -> unit) ->
+  ?dead:on_dead ->
+  ?tr:Ftr_obs.Tracing.t ->
+  ?tally:tally ->
+  Ftr_graph.Adjacency.Csr.t ->
+  distance ->
+  src:int ->
+  dst:int ->
+  outcome
+(** Greedy routing over a validated CSR with the semantics of {!route}
+    (defaults: no failures, {!Terminate}, one million hops, {!Skip}). It
+    emits no metrics or events; flight-recorder steps go to [tr] only
+    (default: none). Endpoint liveness is the caller's to check.
+    @raise Invalid_argument if an endpoint is out of range, a
+    {!Sorted_line} has fewer positions than nodes, or a {!Backtrack}
+    history is below 1. *)
+
 val loop_erased_length : int list -> int
 (** Hop count of a visit sequence after erasing every excursion (a revisit
     truncates back to the first visit). Total hops charge the full

@@ -43,12 +43,17 @@ let axis_distance t a b =
   min d (t.side - d)
 
 (* L1 (Manhattan) distance with per-axis wraparound: the lattice distance of
-   Kleinberg's grid, made toroidal so every node is symmetric. *)
+   Kleinberg's grid, made toroidal so every node is symmetric. Decodes the
+   coordinates digit by digit instead of through [coords], so greedy
+   routing can call it per candidate without allocating. *)
 let distance t a b =
-  let ca = coords t a and cb = coords t b in
-  let acc = ref 0 in
-  for i = 0 to t.dims - 1 do
-    acc := !acc + axis_distance t ca.(i) cb.(i)
+  check t a;
+  check t b;
+  let acc = ref 0 and a = ref a and b = ref b in
+  for _ = 1 to t.dims do
+    acc := !acc + axis_distance t (!a mod t.side) (!b mod t.side);
+    a := !a / t.side;
+    b := !b / t.side
   done;
   !acc
 

@@ -2,7 +2,8 @@
    pattern, so local stand-ins for Snapshot/Check/Route exercise the
    automaton without touching the real modules: a network loaded with
    ~validate:false must flow through a validator before it reaches a
-   routing sink. *)
+   routing sink. The greedy kernel, and the Byzantine router that routes
+   through it, read the same unchecked vectors: both are sinks too. *)
 
 module Snapshot = struct
   let load ~validate path = ignore validate; String.length path
@@ -12,8 +13,17 @@ module Check = struct
   let snapshot net = ignore net
 end
 
+module Csr = struct
+  let validate net = ignore net
+end
+
 module Route = struct
   let route net = net + 1
+  let greedy net = net * 2
+end
+
+module Byzantine = struct
+  let route net = net - 1
 end
 
 (* Positive: unvalidated load flows straight into routing. *)
@@ -31,3 +41,20 @@ let good path =
 let also_good path =
   let net = Snapshot.load ~validate:true path in
   Route.route net
+
+(* Positive: an unchecked network handed to the kernel. *)
+let bad_kernel path =
+  let net = Snapshot.load ~validate:false path in
+  Route.greedy net
+
+(* Positive: an unchecked network handed to the Byzantine router. *)
+let bad_byzantine path =
+  let net = Snapshot.load ~validate:false path in
+  Byzantine.route net
+
+(* Negative: structurally validated before either sink. *)
+let good_kernel path =
+  let net = Snapshot.load ~validate:false path in
+  Csr.validate net;
+  ignore (Route.greedy net);
+  Byzantine.route net

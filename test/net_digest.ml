@@ -15,3 +15,7 @@ let of_network net =
     Buffer.add_char b '\n'
   done;
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Digest of a recorded outcome string: pins hundreds of route outcomes
+   in one line of the test source. *)
+let of_string s = Digest.to_hex (Digest.string s)

@@ -125,6 +125,18 @@ let chord_rejects_duplicates () =
   Alcotest.check_raises "duplicate ids" (Invalid_argument "Chord.create: duplicate identifier")
     (fun () -> ignore (Chord.create ~ring_size:8 ~node_ids:[| 1; 1 |]))
 
+(* A source that is not a present node is refused by name: on this ring
+   the finger scan from 15 would borrow node 20's fingers and report a
+   spurious dead end. *)
+let chord_rejects_non_node_source () =
+  let c = Chord.create ~ring_size:64 ~node_ids:[| 3; 10; 20; 40 |] in
+  let refused = Invalid_argument "Chord.route_with_failures: source is not a present node" in
+  Alcotest.check_raises "route" refused (fun () -> ignore (Chord.route c ~src:15 ~key:18));
+  Alcotest.check_raises "route_with_failures" refused (fun () ->
+      ignore (Chord.route_with_failures c ~alive:(fun _ -> true) ~src:15 ~key:18));
+  Alcotest.check_raises "off the ring" refused (fun () -> ignore (Chord.route c ~src:99 ~key:18));
+  Alcotest.(check (option int)) "node source routes" (Some 1) (Chord.route c ~src:10 ~key:18)
+
 (* ------------------------------------------------------------------ *)
 (* Kleinberg                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -230,6 +242,42 @@ let lattice_much_slower_than_kleinberg () =
     kle := !kle + Kleinberg.route_hops k ~src ~dst
   done;
   Alcotest.(check bool) "lattice slower" true (!lat > !kle)
+
+(* Hop counts recorded before Lattice became a facade over Multidim and
+   Kleinberg's routes moved onto the shared greedy kernel, including
+   budgets too small for some pairs. *)
+let lattice_kleinberg_hops_pinned () =
+  let pairs n seed =
+    let r = Rng.of_int seed in
+    let acc = ref [] in
+    for _ = 1 to 40 do
+      let src = Rng.int r n in
+      let dst = Rng.int r n in
+      acc := (src, dst) :: !acc
+    done;
+    List.rev !acc
+  in
+  let code f ps = String.concat "," (List.map (fun (src, dst) -> f ~src ~dst) ps) in
+  let hops f ~src ~dst = string_of_int (f ~src ~dst) in
+  let opt = function Some h -> string_of_int h | None -> "-" in
+  let l2 = Lattice.create ~dims:2 ~side:16 and l3 = Lattice.create ~dims:3 ~side:8 in
+  let k = Kleinberg.build ~side:32 (Rng.of_int 6174) in
+  let pinned label expected actual = Alcotest.(check string) label expected actual in
+  pinned "lattice 2-d"
+    "11,13,12,2,2,12,9,12,8,3,7,7,6,10,6,8,10,6,8,4,8,10,6,4,15,9,10,11,8,9,7,9,8,10,3,6,11,11,7,9"
+    (code (hops (Lattice.route_hops l2)) (pairs 256 21));
+  pinned "lattice 3-d"
+    "8,4,3,5,5,8,4,5,7,6,11,8,9,6,9,5,2,6,5,10,7,7,4,6,8,7,6,6,5,8,7,4,9,10,8,6,9,6,7,5"
+    (code (hops (Lattice.route_hops l3)) (pairs 512 22));
+  pinned "lattice 6-hop budget"
+    "-,4,-,-,4,-,6,-,3,-,-,-,-,-,-,6,-,-,-,-,0,-,-,5,5,-,6,-,-,0,5,6,-,3,-,6,-,-,-,-"
+    (code (fun ~src ~dst -> opt (Lattice.route ~max_hops:6 l2 ~src ~dst)) (pairs 256 23));
+  pinned "kleinberg"
+    "12,11,13,16,13,11,10,13,18,10,5,6,16,14,14,6,9,10,11,10,12,20,12,16,9,8,17,5,4,13,10,7,13,4,6,13,14,10,14,14"
+    (code (hops (Kleinberg.route_hops k)) (pairs 1024 24));
+  pinned "kleinberg 8-hop budget"
+    "-,-,-,-,7,-,-,-,-,4,-,3,-,7,-,7,-,-,8,-,-,-,-,-,-,5,8,8,-,7,-,-,8,8,-,-,-,-,-,-"
+    (code (fun ~src ~dst -> opt (Kleinberg.route ~max_hops:8 k ~src ~dst)) (pairs 1024 25))
 
 (* ------------------------------------------------------------------ *)
 (* Flooding                                                            *)
@@ -458,6 +506,7 @@ let () =
           quick "successor list" chord_successor_list;
           quick "longer successor list helps" chord_longer_successor_list_helps;
           quick "failures: rejects dead endpoints" chord_failures_rejects_dead_endpoint;
+          quick "rejects a source that is not a node" chord_rejects_non_node_source;
         ] );
       ( "kleinberg",
         [
@@ -472,6 +521,7 @@ let () =
           quick "hops equal L1" lattice_hops_equal_l1;
           quick "three dimensions" lattice_3d;
           quick "slower than kleinberg" lattice_much_slower_than_kleinberg;
+          quick "lattice and kleinberg hops pinned" lattice_kleinberg_hops_pinned;
         ] );
       ( "flooding",
         [

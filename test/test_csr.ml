@@ -335,6 +335,43 @@ let minor_words_independent_of_hops () =
     (Printf.sprintf "backtrack: %.0f minor words for %d hops" backtrack (n - 1))
     true (backtrack < 512.0)
 
+(* The torus and Byzantine routes share the same kernel, so the same
+   budget holds for them: a backtracking route across half a 2^16-node
+   1-d torus, and a Retry_backtrack search along the whole 2^16-node
+   chain, each stay under the bound whatever their hop count. *)
+let minor_words_multidim_and_byzantine () =
+  let n = 1 lsl 16 in
+  let measure f =
+    f () (* warmup sizes the domain-local scratch *);
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let module Multidim = Ftr_core.Multidim in
+  let module Byzantine = Ftr_core.Byzantine in
+  let torus = Multidim.build ~dims:1 ~side:n ~links:0 (Rng.of_int 1) in
+  let alive _ = true in
+  let multidim =
+    measure (fun () ->
+        ignore
+          (Multidim.route ~alive ~strategy:(Multidim.Backtrack { history = 5 }) torus ~src:0
+             ~dst:(n / 2)))
+  in
+  let chain = Network.build_ideal ~n ~links:0 (Rng.of_int 1) in
+  let byzantine _ = false in
+  let byz =
+    measure (fun () ->
+        ignore
+          (Byzantine.route ~defense:(Byzantine.Retry_backtrack { history = 5 }) chain ~byzantine
+             ~src:0 ~dst:(n - 1)))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "multidim backtrack: %.0f minor words for %d hops" multidim (n / 2))
+    true (multidim < 512.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "byzantine retry-backtrack: %.0f minor words for %d hops" byz (n - 1))
+    true (byz < 512.0)
+
 (* Steady state on the Figure 6 workload: mean minor words per message
    stays a small constant (the pre-refactor router allocated per hop —
    thousands of words on this grid). *)
@@ -387,6 +424,8 @@ let () =
           Alcotest.test_case "minor words independent of hops" `Quick
             minor_words_independent_of_hops;
           Alcotest.test_case "minor words per message bounded" `Quick minor_words_steady_state;
+          Alcotest.test_case "torus and byzantine minor words independent of hops" `Quick
+            minor_words_multidim_and_byzantine;
         ] );
       ( "properties",
         List.map (fun p -> QCheck_alcotest.to_alcotest p)

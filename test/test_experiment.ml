@@ -212,6 +212,24 @@ let sweep_geometry_comparable () =
         (abs_float (line.E.measured -. circle.E.measured) < 0.3 *. line.E.measured)
   | _ -> Alcotest.fail "expected two rows"
 
+(* Rows recorded before Multidim.route moved onto the shared greedy
+   kernel, as exact %h floats. *)
+let sweep_dimensions_pinned () =
+  let rows =
+    E.sweep_dimensions ~configs:[ (1, 512); (2, 24); (3, 8) ] ~networks:2 ~messages:100 ~seed:77 ()
+  in
+  Alcotest.(check string) "rows"
+    (String.concat ";"
+       [
+         "1,512,0x1.8c95895895896p+5,0x1.0a3d70a3d70a4p-3";
+         "2,576,0x1.eded9fb7d0e78p+3,0x1.1eb851eb851ecp-5";
+         "3,512,0x1.edc82f2b11b02p+2,0x1.70a3d70a3d70ap-5";
+       ])
+    (String.concat ";"
+       (List.map
+          (fun r -> Printf.sprintf "%d,%d,%h,%h" r.E.dims r.E.nodes r.E.mean_hops_nd r.E.failed_nd)
+          rows))
+
 let sweep_dimensions_improves () =
   let rows =
     E.sweep_dimensions
@@ -294,5 +312,6 @@ let () =
           slow "geometry: line vs circle" sweep_geometry_comparable;
           slow "stretch: greedy vs optimal" sweep_stretch_sane;
           slow "dimensions: 2d beats 1d at matched n" sweep_dimensions_improves;
+          quick "dimensions: rows pinned" sweep_dimensions_pinned;
         ] );
     ]

@@ -135,6 +135,55 @@ let multidim_rejects () =
   Alcotest.check_raises "off torus" (Invalid_argument "Multidim.route: node off the torus")
     (fun () -> ignore (Multidim.route m ~src:0 ~dst:999))
 
+(* Pinned outcomes, recorded before Multidim.route moved onto the shared
+   greedy kernel: every strategy over a Bernoulli alive mask in one, two
+   and three dimensions, plus a hop budget that cuts backtracking
+   searches short. *)
+let multidim_code = function
+  | Multidim.Delivered { hops } -> Printf.sprintf "D%d" hops
+  | Multidim.Failed { hops; stuck_at } -> Printf.sprintf "F%d@%d" hops stuck_at
+
+let multidim_routes_pinned () =
+  let runs =
+    [
+      (Multidim.Terminate, None);
+      (Multidim.Backtrack { history = 1 }, None);
+      (Multidim.Backtrack { history = 5 }, None);
+      (Multidim.Backtrack { history = 5 }, Some 10);
+    ]
+  in
+  List.iter
+    (fun (dims, side, links, death_p, expected) ->
+      let r = Rng.of_int ((dims * 1000) + side) in
+      let m = Multidim.build ~dims ~side ~links r in
+      let n = Multidim.size m in
+      let mask = Ftr_core.Failure.bernoulli_node_mask r ~n ~death_p in
+      let alive = Bitset.get mask in
+      let rec live () =
+        let v = Rng.int r n in
+        if alive v then v else live ()
+      in
+      let b = Buffer.create 4096 in
+      for _ = 1 to 100 do
+        let src = live () in
+        let dst = live () in
+        List.iter
+          (fun (strategy, max_hops) ->
+            Buffer.add_string b
+              (multidim_code (Multidim.route ~alive ~strategy ?max_hops m ~src ~dst));
+            Buffer.add_char b ',')
+          runs
+      done;
+      Alcotest.(check string)
+        (Printf.sprintf "%dd side %d" dims side)
+        expected
+        (Net_digest.of_string (Buffer.contents b)))
+    [
+      (1, 512, 2, 0.3, "192c9c8b84616b357839464b28d77fcb");
+      (2, 32, 3, 0.3, "476e5c6638721c2b63a882def98885e2");
+      (3, 8, 2, 0.4, "6780bb81979b5eb988eaf2e8206e2d16");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Adversarial failures (Section 4.3.4.2)                              *)
 (* ------------------------------------------------------------------ *)
@@ -268,6 +317,7 @@ let () =
           quick "optimal exponent equals dimension" multidim_optimal_alpha_is_dims;
           quick "backtracking under failures" multidim_backtracking_survives_failures;
           quick "rejects bad input" multidim_rejects;
+          quick "route outcomes pinned" multidim_routes_pinned;
         ] );
       ( "adversary",
         [

@@ -660,6 +660,116 @@ let byzantine_sweep_shapes () =
         (dirty.Byzantine.retry_wasted > clean.Byzantine.retry_wasted)
   | _ -> Alcotest.fail "expected two rows"
 
+let byzantine_validates_history () =
+  let net = build 63 in
+  List.iter
+    (fun history ->
+      Alcotest.check_raises
+        (Printf.sprintf "history %d" history)
+        (Invalid_argument "Byzantine.route: history must be >= 1")
+        (fun () ->
+          ignore
+            (Byzantine.route ~defense:(Byzantine.Retry_backtrack { history }) net
+               ~byzantine:(fun _ -> false) ~src:0 ~dst:5)))
+    [ 0; -3 ]
+
+(* Pinned outputs, recorded before Byzantine.route moved onto the shared
+   greedy kernel: sweep rows as exact %h floats, and the (hops, wasted,
+   delivered) triple of every defence over fixed pair sets — including a
+   hop budget small enough to cut searches mid-retry, and a circle. *)
+let byzantine_sweep_code rows =
+  String.concat ";"
+    (List.map
+       (fun r ->
+         Printf.sprintf "%h,%h,%h,%h,%h" r.Byzantine.byzantine_fraction r.Byzantine.naive_failed
+           r.Byzantine.retry_failed r.Byzantine.backtrack_failed r.Byzantine.retry_wasted)
+       rows)
+
+let byzantine_sweep_pinned () =
+  List.iter
+    (fun (seed, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d" seed)
+        expected
+        (byzantine_sweep_code
+           (Byzantine.sweep ~n:1024 ~fractions:[ 0.0; 0.1; 0.3 ] ~networks:2 ~messages:100 ~seed
+              ())))
+    [
+      ( 64,
+        String.concat ";"
+          [
+            "0x0p+0,0x0p+0,0x0p+0,0x0p+0,0x0p+0";
+            "0x1.999999999999ap-4,0x1.6b851eb851eb8p-2,0x1.0a3d70a3d70a4p-4,0x0p+0,0x1.2666666666666p-1";
+            "0x1.3333333333333p-2,0x1.8f5c28f5c28f6p-1,0x1.47ae147ae147bp-2,0x1.47ae147ae147bp-6,0x1.5c28f5c28f5c3p+1";
+          ] );
+      ( 9,
+        String.concat ";"
+          [
+            "0x0p+0,0x0p+0,0x0p+0,0x0p+0,0x0p+0";
+            "0x1.999999999999ap-4,0x1.851eb851eb852p-2,0x1.eb851eb851eb8p-5,0x0p+0,0x1.5c28f5c28f5c3p-1";
+            "0x1.3333333333333p-2,0x1.8a3d70a3d70a4p-1,0x1.5c28f5c28f5c3p-2,0x1.47ae147ae147bp-7,0x1.599999999999ap+1";
+          ] );
+    ]
+
+let byzantine_code = function
+  | Byzantine.Delivered { hops; wasted } -> Printf.sprintf "D%d/%d" hops wasted
+  | Byzantine.Failed { hops; wasted } -> Printf.sprintf "F%d/%d" hops wasted
+
+let byzantine_routes_pinned () =
+  let defenses =
+    [
+      Byzantine.Naive;
+      Byzantine.Retry;
+      Byzantine.Retry_backtrack { history = 1 };
+      Byzantine.Retry_backtrack { history = 5 };
+    ]
+  in
+  List.iter
+    (fun (label, net, fraction, max_hops, expected) ->
+      let n = Network.size net in
+      let r = Rng.of_int 65 in
+      let mask = Failure.random_node_fraction r ~n ~fraction in
+      let byzantine v = not (Bitset.get mask v) in
+      let rec honest () =
+        let v = Rng.int r n in
+        if byzantine v then honest () else v
+      in
+      let b = Buffer.create 4096 in
+      for _ = 1 to 100 do
+        let src = honest () in
+        let dst = honest () in
+        List.iter
+          (fun defense ->
+            Buffer.add_string b
+              (byzantine_code (Byzantine.route ~defense ?max_hops net ~byzantine ~src ~dst));
+            Buffer.add_char b ',')
+          defenses
+      done;
+      Alcotest.(check string) label expected
+        (Net_digest.of_network net ^ " " ^ Net_digest.of_string (Buffer.contents b)))
+    [
+      ( "line 1024/10 at 0.3",
+        build ~n:1024 ~links:10 66,
+        0.3,
+        None,
+        "2b686ad3974ebe0e3c26422fba9ef311 2e0e93bc4f8598d7db1d733be35ebaa5" );
+      ( "line 512/4 at 0.5",
+        build ~links:4 67,
+        0.5,
+        None,
+        "7553c80ef311f74ae70108f1082c0f2c 271392e1cdc76888c4d0ff2643b3b42d" );
+      ( "line 512/4 at 0.5, 12-hop budget",
+        build ~links:4 67,
+        0.5,
+        Some 12,
+        "7553c80ef311f74ae70108f1082c0f2c 84fe6f865d4b7cd5ec78a2d4fc1a4d5f" );
+      ( "circle 512/6 at 0.3",
+        Network.build_ring ~n:512 ~links:6 (Rng.of_int 68),
+        0.3,
+        None,
+        "4a620ef6e9d56094c194183a0fa9381e 40a6566640b011cbb87962b3fc0ed569" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Failure-mask constructors                                           *)
 (* ------------------------------------------------------------------ *)
@@ -821,6 +931,9 @@ let () =
           quick "misroute: sabotage inflates hops" byzantine_misroute_inflates_hops;
           quick "rejects byzantine endpoints" byzantine_rejects_bad_endpoints;
           quick "sweep shapes" byzantine_sweep_shapes;
+          quick "validates history" byzantine_validates_history;
+          quick "sweep rows pinned" byzantine_sweep_pinned;
+          quick "routes pinned for every defence" byzantine_routes_pinned;
         ] );
       ( "failure-masks",
         [
