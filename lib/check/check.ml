@@ -506,56 +506,46 @@ let engine e =
 (* Overlay (Section 5: basins of attraction under churn)               *)
 (* ------------------------------------------------------------------ *)
 
+(* The link invariants of one node record, shared by the event-heap
+   overlay and the actor service, whose codes differ only by [prefix]
+   ("overlay" or "svc"): the node sits on the line; a live node's ring
+   pointers frame it and name nodes that once existed; its long links
+   respect the budget ℓ, never point at itself, stay on the line and
+   land on nodes that once existed. *)
+let node_links ~prefix ~subject ~line_size ~links ~known emit (n : Ftr_p2p.Protocol.node) =
+  let v code fmt = violation (prefix ^ "." ^ code) subject fmt in
+  if n.pos < 0 || n.pos >= line_size then emit (v "off-line" "position outside [0,%d)" line_size);
+  if n.alive then begin
+    (match n.left with
+    | Some l ->
+        if l >= n.pos then emit (v "ring-order" "left pointer %d is not left of %d" l n.pos);
+        if not (known l) then emit (v "unknown-endpoint" "left pointer %d was never a node" l)
+    | None -> ());
+    (match n.right with
+    | Some r ->
+        if r <= n.pos then emit (v "ring-order" "right pointer %d is not right of %d" r n.pos);
+        if not (known r) then emit (v "unknown-endpoint" "right pointer %d was never a node" r)
+    | None -> ());
+    let nl = List.length n.long in
+    if nl > links then emit (v "link-count" "%d long links exceed the budget l=%d" nl links);
+    List.iter
+      (fun t ->
+        if t = n.pos then emit (v "self-link" "long link to itself")
+        else if t < 0 || t >= line_size then
+          emit (v "off-line" "long link to %d outside [0,%d)" t line_size)
+        else if not (known t) then
+          emit (v "unknown-endpoint" "long link target %d was never a node" t))
+      n.long
+  end
+
 let overlay ?(strict_ring = false) (o : Overlay.t) =
   let out = ref [] in
   let emit x = out := x :: !out in
-  let line_size = Overlay.line_size o in
   let views = Hashtbl.create 64 in
-  Overlay.iter_nodes o (fun v -> Hashtbl.replace views v.Overlay.view_pos v);
-  Hashtbl.iter
-    (fun pos (v : Overlay.node_view) ->
-      if v.view_alive then begin
-        let subject = Printf.sprintf "node %d" pos in
-        if pos < 0 || pos >= line_size then
-          emit (violation "overlay.off-line" subject "position outside [0,%d)" line_size);
-        (match v.view_left with
-        | Some l ->
-            if l >= pos then
-              emit (violation "overlay.ring-order" subject "left pointer %d is not left of %d" l pos);
-            if not (Overlay.known o l) then
-              emit
-                (violation "overlay.unknown-endpoint" subject "left pointer %d was never a node" l)
-        | None -> ());
-        (match v.view_right with
-        | Some r ->
-            if r <= pos then
-              emit
-                (violation "overlay.ring-order" subject "right pointer %d is not right of %d" r pos);
-            if not (Overlay.known o r) then
-              emit
-                (violation "overlay.unknown-endpoint" subject "right pointer %d was never a node" r)
-        | None -> ());
-        (* Age bookkeeping rides along with the link list one-for-one; a
-           length drift means an add/remove path forgot one side. *)
-        let nl = List.length v.view_long and nb = List.length v.view_births in
-        if nl <> nb then
-          emit (violation "overlay.birth-order-skew" subject "%d long links but %d birth ticks" nl nb);
-        if nl > Overlay.links o then
-          emit
-            (violation "overlay.link-count" subject "%d long links exceed the budget l=%d" nl
-               (Overlay.links o));
-        List.iter
-          (fun t ->
-            if t = pos then emit (violation "overlay.self-link" subject "long link to itself")
-            else if t < 0 || t >= line_size then
-              emit (violation "overlay.off-line" subject "long link to %d outside [0,%d)" t line_size)
-            else if not (Overlay.known o t) then
-              emit
-                (violation "overlay.unknown-endpoint" subject "long link target %d was never a node"
-                   t))
-          v.view_long
-      end)
-    views;
+  Overlay.iter_nodes o (fun n ->
+      Hashtbl.replace views n.pos n;
+      node_links ~prefix:"overlay" ~subject:(Printf.sprintf "node %d" n.pos)
+        ~line_size:(Overlay.line_size o) ~links:(Overlay.links o) ~known:(Overlay.known o) emit n);
   if strict_ring then begin
     (* In a quiescent overlay (no unresolved joins, no unrepaired crashes)
        the ring must be exact: each live node's neighbours are the nearest
@@ -570,18 +560,18 @@ let overlay ?(strict_ring = false) (o : Overlay.t) =
             emit
               (violation "overlay.basin" (Printf.sprintf "node %d" pos)
                  "live position has no node record")
-        | Some (v : Overlay.node_view) ->
+        | Some (n : Ftr_p2p.Protocol.node) ->
             let subject = Printf.sprintf "node %d" pos in
             let expect_left = if i > 0 then Some live.(i - 1) else None in
             let expect_right = if i < Array.length live - 1 then Some live.(i + 1) else None in
-            if v.view_left <> expect_left then
+            if n.left <> expect_left then
               emit
                 (violation "overlay.basin" subject "left is %s, nearest live node is %s"
-                   (pp_opt v.view_left) (pp_opt expect_left));
-            if v.view_right <> expect_right then
+                   (pp_opt n.left) (pp_opt expect_left));
+            if n.right <> expect_right then
               emit
                 (violation "overlay.basin" subject "right is %s, nearest live node is %s"
-                   (pp_opt v.view_right) (pp_opt expect_right)))
+                   (pp_opt n.right) (pp_opt expect_right)))
       live
   end;
   List.rev !out
@@ -761,32 +751,8 @@ let service (svc : Ftr_svc.Service.t) =
   let line_size = S.line_size svc in
   let links = S.links svc in
   S.iter_actors svc (fun v ->
-      let subject = Printf.sprintf "actor %d" v.S.av_pos in
-      if v.S.av_pos < 0 || v.S.av_pos >= line_size then
-        emit (violation "svc.off-line" subject "position outside [0,%d)" line_size);
-      if v.S.av_alive then begin
-        (match v.S.av_left with
-        | Some l when l >= v.S.av_pos ->
-            emit (violation "svc.ring-order" subject "left pointer %d is not left of %d" l v.S.av_pos)
-        | Some _ | None -> ());
-        (match v.S.av_right with
-        | Some r when r <= v.S.av_pos ->
-            emit
-              (violation "svc.ring-order" subject "right pointer %d is not right of %d" r
-                 v.S.av_pos)
-        | Some _ | None -> ());
-        let nl = List.length v.S.av_long and nb = List.length v.S.av_births in
-        if nl <> nb then
-          emit (violation "svc.birth-order-skew" subject "%d long links but %d birth ticks" nl nb);
-        if nl > links then
-          emit (violation "svc.link-count" subject "%d long links exceed the budget l=%d" nl links);
-        List.iter
-          (fun tgt ->
-            if tgt = v.S.av_pos then emit (violation "svc.self-link" subject "long link to itself")
-            else if tgt < 0 || tgt >= line_size then
-              emit (violation "svc.off-line" subject "long link to %d outside [0,%d)" tgt line_size))
-          v.S.av_long
-      end;
+      let subject = Printf.sprintf "actor %d" v.S.av_node.pos in
+      node_links ~prefix:"svc" ~subject ~line_size ~links ~known:(S.known svc) emit v.S.av_node;
       if v.S.av_mail_length > v.S.av_mail_capacity then
         emit
           (violation "svc.mailbox-bound" subject "length %d exceeds capacity %d"

@@ -2,15 +2,6 @@ module Engine = Ftr_sim.Engine
 module Rng = Ftr_prng.Rng
 module Sample = Ftr_prng.Sample
 
-type node = {
-  pos : int;
-  mutable alive : bool;
-  mutable left : int option; (* nearest known live node to the left *)
-  mutable right : int option;
-  mutable long : int list; (* long-distance link targets (positions) *)
-  mutable birth_order : int list; (* arrival ticks, aligned with [long] *)
-}
-
 type stats = {
   mutable lookups_issued : int;
   mutable lookups_ok : int;
@@ -44,11 +35,10 @@ type t = {
   ttl : int;
   regenerate : bool;
   pl : Sample.power_law;
-  nodes : (int, node) Hashtbl.t;
+  nodes : (int, Protocol.node) Hashtbl.t;
   pending : (int, pending_request) Hashtbl.t;
   stats : stats;
   mutable next_request : int;
-  mutable tick : int;
 }
 
 let create ?latency ?latency_model ?(ttl = 256) ?(regenerate = true) ~line_size ~links ~rng engine =
@@ -89,7 +79,6 @@ let create ?latency ?latency_model ?(ttl = 256) ?(regenerate = true) ~line_size 
         leaves = 0;
       };
     next_request = 0;
-    tick = 0;
   }
 
 let stats t = t.stats
@@ -97,108 +86,57 @@ let stats t = t.stats
 let engine t = t.engine
 
 let node_count t =
-  Hashtbl.fold (fun _ node acc -> if node.alive then acc + 1 else acc) t.nodes 0
+  Hashtbl.fold (fun _ (node : Protocol.node) acc -> if node.alive then acc + 1 else acc) t.nodes 0
 
 let live_node t pos =
   match Hashtbl.find_opt t.nodes pos with
-  | Some node when node.alive -> Some node
+  | Some (node : Protocol.node) when node.alive -> Some node
   | Some _ | None -> None
 
 let is_alive t pos = Option.is_some (live_node t pos)
 
 let live_positions t =
   let acc = ref [] in
-  Hashtbl.iter (fun pos node -> if node.alive then acc := pos :: !acc) t.nodes;
+  Hashtbl.iter (fun pos (node : Protocol.node) -> if node.alive then acc := pos :: !acc) t.nodes;
   List.sort Int.compare !acc
 
-let neighbors_of node =
-  let ring = Option.to_list node.left @ Option.to_list node.right in
-  ring @ node.long
-
-let next_tick t =
-  t.tick <- t.tick + 1;
-  t.tick
-
 (* Sanitizer hook: per-node structural invariants, re-checked after every
-   mutation when FTR_CHECK is on. The ring pointers must frame the node,
-   the age bookkeeping must stay aligned with the link list, and the link
-   list must respect the budget ℓ. *)
-let debug_check_node t node =
-  (match node.left with
-  | Some l when l >= node.pos ->
-      Ftr_debug.Debug.failf "Overlay: node %d has left pointer %d on its right" node.pos l
-  | Some _ | None -> ());
-  (match node.right with
-  | Some r when r <= node.pos ->
-      Ftr_debug.Debug.failf "Overlay: node %d has right pointer %d on its left" node.pos r
-  | Some _ | None -> ());
-  let nl = List.length node.long and nb = List.length node.birth_order in
-  if nl <> nb then
-    Ftr_debug.Debug.failf "Overlay: node %d has %d long links but %d birth ticks" node.pos nl nb;
-  if nl > t.links then
-    Ftr_debug.Debug.failf "Overlay: node %d holds %d long links, budget is %d" node.pos nl
-      t.links;
-  if List.mem node.pos node.long then
-    Ftr_debug.Debug.failf "Overlay: node %d holds a long link to itself" node.pos
-
-(* ------------------------------------------------------------------ *)
-(* Link maintenance                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let remove_long node target =
-  let rec drop ls bs =
-    match (ls, bs) with
-    | [], [] -> ([], [])
-    | l :: ls', b :: bs' ->
-        if l = target then (ls', bs')
-        else
-          let ls'', bs'' = drop ls' bs' in
-          (l :: ls'', b :: bs'')
-    | _ -> (ls, bs)
-  in
-  let ls, bs = drop node.long node.birth_order in
-  node.long <- ls;
-  node.birth_order <- bs
-
-let add_long t node target =
-  node.long <- target :: node.long;
-  node.birth_order <- next_tick t :: node.birth_order;
-  if Ftr_debug.Debug.enabled () then debug_check_node t node
-
-(* Section 5's replacement rule, applied when [v] solicits a link from
-   [node]: accept with probability p_{k+1}/sum, evict proportionally. *)
-let consider_redirect t node ~newcomer =
-  if newcomer <> node.pos then begin
-    let weights = List.map (fun l -> 1.0 /. float_of_int (abs (node.pos - l))) node.long in
-    let sum_old = List.fold_left ( +. ) 0.0 weights in
-    if sum_old > 0.0 then begin
-      let p_new = 1.0 /. float_of_int (abs (node.pos - newcomer)) in
-      if Rng.float t.rng < p_new /. (sum_old +. p_new) then begin
-        let target = Rng.float t.rng *. sum_old in
-        let victim =
-          let rec scan acc = function
-            | [] -> None
-            | (l, w) :: rest -> if acc +. w > target then Some l else scan (acc +. w) rest
-          in
-          scan 0.0 (List.combine node.long weights)
-        in
-        match victim with
-        | Some v ->
-            if Ftr_obs.Flag.enabled () then begin
-              Ftr_obs.Metrics.incr "overlay_link_redirects_total";
-              Ftr_obs.Events.emit ~time:(Engine.now t.engine) ~kind:"overlay.redirect"
-                [
-                  ("node", Ftr_obs.Json.Int node.pos);
-                  ("newcomer", Ftr_obs.Json.Int newcomer);
-                  ("evicted", Ftr_obs.Json.Int v);
-                ]
-            end;
-            remove_long node v;
-            add_long t node newcomer
-        | None -> ()
-      end
-    end
+   mutation when FTR_CHECK is on. The ring pointers must frame the node
+   and the link list must respect the budget ℓ. *)
+let debug_check t (node : Protocol.node) =
+  if Ftr_debug.Debug.enabled () then begin
+    (match node.left with
+    | Some l when l >= node.pos ->
+        Ftr_debug.Debug.failf "Overlay: node %d has left pointer %d on its right" node.pos l
+    | Some _ | None -> ());
+    (match node.right with
+    | Some r when r <= node.pos ->
+        Ftr_debug.Debug.failf "Overlay: node %d has right pointer %d on its left" node.pos r
+    | Some _ | None -> ());
+    let nl = List.length node.long in
+    if nl > t.links then
+      Ftr_debug.Debug.failf "Overlay: node %d holds %d long links, budget is %d" node.pos nl
+        t.links;
+    if List.mem node.pos node.long then
+      Ftr_debug.Debug.failf "Overlay: node %d holds a long link to itself" node.pos
   end
+
+let claim_link t node target =
+  Protocol.add_long node target;
+  debug_check t node
+
+(* Telemetry for one accepted Section 5 redirect at [node]. *)
+let note_redirect t (node : Protocol.node) ~newcomer ~evicted =
+  if Ftr_obs.Flag.enabled () then begin
+    Ftr_obs.Metrics.incr "overlay_link_redirects_total";
+    Ftr_obs.Events.emit ~time:(Engine.now t.engine) ~kind:"overlay.redirect"
+      [
+        ("node", Ftr_obs.Json.Int node.pos);
+        ("newcomer", Ftr_obs.Json.Int newcomer);
+        ("evicted", Ftr_obs.Json.Int evicted);
+      ]
+  end;
+  debug_check t node
 
 (* ------------------------------------------------------------------ *)
 (* Greedy lookup with failure detection                                *)
@@ -260,30 +198,17 @@ let rec lookup_step t ~at ~target ~request ~hops =
            repairs the link and re-enters this step), so one min-scan
            replaces the sorted candidate list the previous version
            built. *)
-        let choice = Protocol.best_candidate ~pos:node.pos ~target (neighbors_of node) in
-        let best = match choice with Some (v, _) -> v | None -> -1 in
+        let choice = Protocol.best_candidate ~pos:node.pos ~target (Protocol.neighbors node) in
         (* Flight recorder, full-fidelity lane: name every neighbour the
            min-scan rejected and the candidate it kept. Dead picks are
            recorded by [try_candidate] when the probe discovers them. *)
         if Ftr_obs.Flag.enabled () then begin
           let tr = request_trace t request in
-          if Ftr_obs.Tracing.is_live tr then begin
-            List.iter
-              (fun v ->
-                if v <> best then begin
-                  let d = abs (v - target) in
-                  Ftr_obs.Tracing.candidate tr ~cur:node.pos ~cand:v ~dist:d
-                    (if Protocol.advances ~pos:node.pos ~target ~cand:v then
-                       Ftr_obs.Tracing.Not_best
-                     else Ftr_obs.Tracing.Not_closer)
-                end)
-              (neighbors_of node);
-            match choice with
-            | Some (v, d) ->
-                Ftr_obs.Tracing.candidate tr ~cur:node.pos ~cand:v ~dist:d
-                  Ftr_obs.Tracing.Chosen
-            | None -> ()
-          end
+          if Ftr_obs.Tracing.is_live tr then
+            Protocol.fold_verdicts node ~target choice
+              (fun () ~cand ~dist verdict ->
+                Ftr_obs.Tracing.candidate tr ~cur:node.pos ~cand ~dist verdict)
+              ()
         end;
         match choice with
         | None ->
@@ -336,27 +261,17 @@ and on_dead_neighbor t node ~dead ~target ~request ~hops =
    be used for regeneration of links when a node crashes"). Ring links are
    repaired by probing outward along the line. *)
 and drop_dead_link t node ~dead =
-  let obs = Ftr_obs.Flag.enabled () in
-  if List.mem dead node.long then begin
-    remove_long node dead;
-    t.stats.repairs <- t.stats.repairs + 1;
-    if obs then Ftr_obs.Metrics.incr "overlay_link_repairs_total";
-    if t.regenerate then regenerate_long_link t node
-  end;
-  let points_at o = match o with Some p -> p = dead | None -> false in
-  if points_at node.left then begin
-    node.left <- probe_ring t node ~from:dead ~dir:(-1);
-    t.stats.repairs <- t.stats.repairs + 1;
-    if obs then Ftr_obs.Metrics.incr "overlay_ring_repairs_total"
-  end;
-  if points_at node.right then begin
-    node.right <- probe_ring t node ~from:dead ~dir:1;
-    t.stats.repairs <- t.stats.repairs + 1;
-    if obs then Ftr_obs.Metrics.incr "overlay_ring_repairs_total"
-  end;
-  if Ftr_debug.Debug.enabled () then debug_check_node t node
+  Protocol.repair node ~dead ~probe:(probe_ring t node)
+    ~on_long:(fun () ->
+      t.stats.repairs <- t.stats.repairs + 1;
+      if Ftr_obs.Flag.enabled () then Ftr_obs.Metrics.incr "overlay_link_repairs_total";
+      if t.regenerate then regenerate_long_link t node)
+    ~on_ring:(fun () ->
+      t.stats.repairs <- t.stats.repairs + 1;
+      if Ftr_obs.Flag.enabled () then Ftr_obs.Metrics.incr "overlay_ring_repairs_total");
+  debug_check t node
 
-and probe_ring t node ~from ~dir =
+and probe_ring t (node : Protocol.node) ~from ~dir =
   (* The shared walk-outward rule; probes are charged to this overlay's
      failure-detection accounting. *)
   Protocol.probe_ring ~alive:(is_alive t) ~line_size:t.line_size ~self:node.pos ~from ~dir
@@ -371,7 +286,7 @@ and regenerate_long_link t node =
       (Some
          (fun ~owner ~hops:_ ->
            if node.alive && owner <> node.pos && not (List.mem owner node.long) then
-             add_long t node owner))
+             claim_link t node owner))
     ()
 
 and internal_lookup t ?(user = false) ~from ~target ~callback () =
@@ -404,7 +319,7 @@ let lookup t ~from ~target ?callback () =
 (* Membership                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let insert_into_ring t node ~owner_pos =
+let insert_into_ring t (node : Protocol.node) ~owner_pos =
   match live_node t owner_pos with
   | None -> ()
   | Some owner when owner.pos = node.pos ->
@@ -421,7 +336,7 @@ let insert_into_ring t node ~owner_pos =
       (match Option.bind node.right (live_node t) with
       | Some r -> r.left <- Some node.pos
       | None -> ());
-      if Ftr_debug.Debug.enabled () then debug_check_node t node
+      debug_check t node
   | Some owner ->
       if owner.pos < node.pos then begin
         (* v sits between owner and owner's right neighbour. The owner's
@@ -454,26 +369,21 @@ let insert_into_ring t node ~owner_pos =
         | None -> ());
         owner.left <- Some node.pos
       end;
-      if Ftr_debug.Debug.enabled () then begin
-        debug_check_node t node;
-        debug_check_node t owner
-      end
+      debug_check t node;
+      debug_check t owner
 
 let bootstrap_node t ~pos =
   if Hashtbl.mem t.nodes pos then invalid_arg "Overlay.bootstrap_node: position occupied";
-  let node = { pos; alive = true; left = None; right = None; long = []; birth_order = [] } in
-  Hashtbl.replace t.nodes pos node;
+  Hashtbl.replace t.nodes pos (Protocol.node pos);
   t.stats.joins <- t.stats.joins + 1;
   if Ftr_obs.Flag.enabled () then Ftr_obs.Metrics.incr "overlay_joins_total";
-  node.pos
+  pos
 
 let join t ~pos ~via =
   if pos < 0 || pos >= t.line_size then invalid_arg "Overlay.join: position off the line";
-  (match Hashtbl.find_opt t.nodes pos with
-  | Some node when node.alive -> invalid_arg "Overlay.join: position occupied"
-  | Some _ | None -> ());
+  if is_alive t pos then invalid_arg "Overlay.join: position occupied";
   if not (is_alive t via) then invalid_arg "Overlay.join: bootstrap node is dead";
-  let node = { pos; alive = true; left = None; right = None; long = []; birth_order = [] } in
+  let node = Protocol.node pos in
   Hashtbl.replace t.nodes pos node;
   t.stats.joins <- t.stats.joins + 1;
   if Ftr_obs.Flag.enabled () then begin
@@ -497,7 +407,7 @@ let join t ~pos ~via =
                  ~callback:
                    (Some
                       (fun ~owner ~hops:_ ->
-                        if node.alive && owner <> pos then add_long t node owner))
+                        if node.alive && owner <> pos then claim_link t node owner))
                  ()
              done;
              (* Step 3: solicit Poisson(ℓ) incoming links. *)
@@ -512,8 +422,10 @@ let join t ~pos ~via =
                       (fun ~owner ~hops:_ ->
                         t.stats.messages <- t.stats.messages + 1;
                         match live_node t owner with
-                        | Some owner_node when node.alive ->
-                            consider_redirect t owner_node ~newcomer:pos
+                        | Some owner_node when node.alive -> (
+                            match Protocol.redirect t.rng owner_node ~newcomer:pos with
+                            | Some evicted -> note_redirect t owner_node ~newcomer:pos ~evicted
+                            | None -> ())
                         | Some _ | None -> ()))
                  ()
              done
@@ -536,15 +448,20 @@ let leave t ~pos =
   match live_node t pos with
   | None -> ()
   | Some node ->
-      (* Graceful departure: splice the ring before going. *)
-      (match (Option.bind node.left (live_node t), Option.bind node.right (live_node t)) with
-      | Some l, Some r ->
-          l.right <- Some r.pos;
-          r.left <- Some l.pos;
-          t.stats.messages <- t.stats.messages + 2
-      | Some l, None -> l.right <- None
-      | None, Some r -> r.left <- None
-      | None, None -> ());
+      (* Graceful departure: each live ring neighbour gets the leaver's
+         other pointer as it is, one message each. A pointer naming an
+         unrepaired crash is handed over too, so the neighbour's next
+         probe walks past it instead of losing that side of the ring. *)
+      (match Option.bind node.left (live_node t) with
+      | Some l ->
+          l.right <- node.right;
+          t.stats.messages <- t.stats.messages + 1
+      | None -> ());
+      (match Option.bind node.right (live_node t) with
+      | Some r ->
+          r.left <- node.left;
+          t.stats.messages <- t.stats.messages + 1
+      | None -> ());
       node.alive <- false;
       t.stats.leaves <- t.stats.leaves + 1;
       if Ftr_obs.Flag.enabled () then begin
@@ -590,22 +507,13 @@ let populate t ~positions =
               in
               nearest 0
             in
-            if owner <> pos then add_long t node owner
+            if owner <> pos then claim_link t node owner
           done)
         arr
 
 (* ------------------------------------------------------------------ *)
 (* Introspection for the invariant sanitizer                           *)
 (* ------------------------------------------------------------------ *)
-
-type node_view = {
-  view_pos : int;
-  view_alive : bool;
-  view_left : int option;
-  view_right : int option;
-  view_long : int list;
-  view_births : int list;
-}
 
 let line_size t = t.line_size
 
@@ -615,19 +523,7 @@ let ttl t = t.ttl
 
 let known t pos = Hashtbl.mem t.nodes pos
 
-let iter_nodes t f =
-  Hashtbl.iter
-    (fun _ node ->
-      f
-        {
-          view_pos = node.pos;
-          view_alive = node.alive;
-          view_left = node.left;
-          view_right = node.right;
-          view_long = node.long;
-          view_births = node.birth_order;
-        })
-    t.nodes
+let iter_nodes t f = Hashtbl.iter (fun _ node -> f node) t.nodes
 
 (* ------------------------------------------------------------------ *)
 (* Proactive stabilization                                             *)
@@ -646,7 +542,7 @@ let enable_stabilization ?(period = 10.0) ?(checks_per_tick = 8) ~until t =
     (* Reservoir sample over the registry. *)
     let chosen = ref None and seen = ref 0 in
     Hashtbl.iter
-      (fun pos node ->
+      (fun pos (node : Protocol.node) ->
         if node.alive then begin
           incr seen;
           if Rng.int t.rng !seen = 0 then chosen := Some pos
@@ -661,12 +557,11 @@ let enable_stabilization ?(period = 10.0) ?(checks_per_tick = 8) ~until t =
         match live_node t pos with
         | None -> ()
         | Some node -> (
-            let candidates = Array.of_list (neighbors_of node) in
-            if Array.length candidates > 0 then begin
-              let v = candidates.(Rng.int t.rng (Array.length candidates)) in
-              t.stats.probes <- t.stats.probes + 1;
-              if not (is_alive t v) then drop_dead_link t node ~dead:v
-            end))
+            match Protocol.random_neighbor t.rng node with
+            | Some v ->
+                t.stats.probes <- t.stats.probes + 1;
+                if not (is_alive t v) then drop_dead_link t node ~dead:v
+            | None -> ()))
   in
   let rec tick () =
     if Engine.now t.engine < until then begin

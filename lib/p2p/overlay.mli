@@ -80,7 +80,10 @@ val join : t -> pos:int -> via:int -> unit
     @raise Invalid_argument if [pos] is occupied or [via] is dead. *)
 
 val leave : t -> pos:int -> unit
-(** Graceful departure: splice the ring, then go. No-op if absent. *)
+(** Graceful departure: each live ring neighbour gets the leaver's other
+    ring pointer as it is (one message each) — a pointer naming an
+    unrepaired crash included, so the neighbour's next probe walks past
+    it — then the node goes. No-op if absent. *)
 
 val crash : t -> pos:int -> unit
 (** Fail-stop: the node disappears without telling anyone; neighbours
@@ -95,15 +98,6 @@ val lookup :
 
 (** {1 Introspection for the invariant sanitizer} *)
 
-type node_view = {
-  view_pos : int;
-  view_alive : bool;
-  view_left : int option;  (** nearest known live node to the left *)
-  view_right : int option;
-  view_long : int list;  (** long-distance link targets (positions) *)
-  view_births : int list;  (** arrival ticks, aligned with [view_long] *)
-}
-
 val line_size : t -> int
 (** Number of grid points on the underlying line. *)
 
@@ -116,9 +110,10 @@ val ttl : t -> int
 val known : t -> int -> bool
 (** Whether a node (live or dead) ever existed at the position. *)
 
-val iter_nodes : t -> (node_view -> unit) -> unit
+val iter_nodes : t -> (Protocol.node -> unit) -> unit
 (** Visit every node in the registry, dead ones included, in no
-    particular order. *)
+    particular order. The records are the overlay's own: read them,
+    do not write them. *)
 
 val enable_stabilization : ?period:float -> ?checks_per_tick:int -> until:float -> t -> unit
 (** Background self-healing until virtual time [until]: every [period]

@@ -1,8 +1,10 @@
 (* One overlay node as an actor. The handler is the synchronous overlay's
-   protocol re-expressed over messages: every decision delegates to the
-   shared pure rules in [Ftr_p2p.Protocol], so for a static network the
-   actor and the event-heap overlay choose identical owners, hops and
-   repairs (the equivalence property in test/test_svc.ml).
+   protocol re-expressed over messages: the node record and every
+   decision — scan, verdicts, redirect, repair, ring probe — are
+   [Ftr_p2p.Protocol]'s, so for a static network the actor and the
+   event-heap overlay choose identical owners, hops and repairs (the
+   equivalence property in test/test_svc.ml). What is the actor's own is
+   the mailbox, the sequence counter and where counters and traces go.
 
    Determinism discipline — what a handler may touch:
    - its own actor state (links, ring pointers, RNG, sequence counter),
@@ -19,14 +21,8 @@ module Protocol = Ftr_p2p.Protocol
 open Message
 
 type t = {
-  pos : int;
-  mutable alive : bool;
-  mutable left : int option;
-  mutable right : int option;
-  mutable long : int list;
-  mutable births : int list; (* local arrival order, aligned with [long] *)
+  node : Protocol.node;
   mutable next_seq : int; (* per-sender sequence numbers for [Mailbox] keys *)
-  mutable birth_tick : int; (* local counter feeding [births] *)
   rng : Rng.t; (* per-actor stream: Seed.rng_for ~seed ~index:pos *)
   mailbox : payload Mailbox.t;
 }
@@ -53,15 +49,6 @@ let fresh_counters () =
     c_handled = 0;
   }
 
-let merge_counters ~into c =
-  into.c_messages <- into.c_messages + c.c_messages;
-  into.c_replies <- into.c_replies + c.c_replies;
-  into.c_probes <- into.c_probes + c.c_probes;
-  into.c_repairs <- into.c_repairs + c.c_repairs;
-  into.c_redirects <- into.c_redirects + c.c_redirects;
-  into.c_maint_issued <- into.c_maint_issued + c.c_maint_issued;
-  into.c_handled <- into.c_handled + c.c_handled
-
 (* Everything a handler is allowed to see beyond its own actor. [send]
    appends to the shard outbox (the coordinator posts it after the round
    barrier), [complete] records a lookup outcome for merge-time
@@ -83,76 +70,12 @@ type ctx = {
 let view_alive ctx pos = pos >= 0 && pos < ctx.line_size && Bytes.get ctx.alive_view pos = '\001'
 
 let create ?capacity ~pos ~rng () =
-  {
-    pos;
-    alive = true;
-    left = None;
-    right = None;
-    long = [];
-    births = [];
-    next_seq = 0;
-    birth_tick = 0;
-    rng;
-    mailbox = Mailbox.create ?capacity ~owner:pos ();
-  }
-
-let neighbors_of a = Option.to_list a.left @ Option.to_list a.right @ a.long
-
-(* ------------------------------------------------------------------ *)
-(* Link bookkeeping (mirrors Overlay's)                                *)
-(* ------------------------------------------------------------------ *)
-
-let remove_long a target =
-  let rec drop ls bs =
-    match (ls, bs) with
-    | [], [] -> ([], [])
-    | l :: ls', b :: bs' ->
-        if l = target then (ls', bs')
-        else
-          let ls'', bs'' = drop ls' bs' in
-          (l :: ls'', b :: bs'')
-    | _ -> (ls, bs)
-  in
-  let ls, bs = drop a.long a.births in
-  a.long <- ls;
-  a.births <- bs
-
-let add_long a target =
-  a.birth_tick <- a.birth_tick + 1;
-  a.long <- target :: a.long;
-  a.births <- a.birth_tick :: a.births
-
-(* Section 5's replacement rule on solicitation, with this actor's own
-   stream standing in for the overlay's shared generator. *)
-let consider_redirect ctx a ~newcomer =
-  if newcomer <> a.pos then begin
-    let weights = List.map (fun l -> 1.0 /. float_of_int (abs (a.pos - l))) a.long in
-    let sum_old = List.fold_left ( +. ) 0.0 weights in
-    if sum_old > 0.0 then begin
-      let p_new = 1.0 /. float_of_int (abs (a.pos - newcomer)) in
-      if Rng.float a.rng < p_new /. (sum_old +. p_new) then begin
-        let target = Rng.float a.rng *. sum_old in
-        let victim =
-          let rec scan acc = function
-            | [] -> None
-            | (l, w) :: rest -> if acc +. w > target then Some l else scan (acc +. w) rest
-          in
-          scan 0.0 (List.combine a.long weights)
-        in
-        match victim with
-        | Some v ->
-            remove_long a v;
-            add_long a newcomer;
-            ctx.counters.c_redirects <- ctx.counters.c_redirects + 1
-        | None -> ()
-      end
-    end
-  end
+  { node = Protocol.node pos; next_seq = 0; rng; mailbox = Mailbox.create ?capacity ~owner:pos () }
 
 let ring_probe ctx a ~from ~dir =
   Protocol.probe_ring
     ~alive:(fun pos -> view_alive ctx pos)
-    ~line_size:ctx.line_size ~self:a.pos ~from ~dir
+    ~line_size:ctx.line_size ~self:a.node.pos ~from ~dir
     ~on_probe:(fun () -> ctx.counters.c_probes <- ctx.counters.c_probes + 1)
 
 (* ------------------------------------------------------------------ *)
@@ -169,12 +92,11 @@ let rec start_lookup ctx a ~kind ~target =
   enter ctx a
     {
       request = -1;
-      origin = a.pos;
+      origin = a.node.pos;
       target;
       hops = 0;
       kind;
       traced = false;
-      path_rev = [];
       tlog_rev = [];
     }
 
@@ -182,41 +104,20 @@ let rec start_lookup ctx a ~kind ~target =
    Re-entries after a repair come back here with unchanged hops, exactly
    like [Overlay.lookup_step]. *)
 and enter ctx a l =
-  let l = { l with path_rev = a.pos :: l.path_rev } in
-  let l = tlog l (T_hop a.pos) in
+  let l = tlog l (T_hop a.node.pos) in
   if l.hops >= ctx.ttl then
-    ctx.complete l (Failed { stuck_at = a.pos; hops = l.hops; reason = "ttl_exceeded" })
+    ctx.complete l (Failed { stuck_at = a.node.pos; hops = l.hops; reason = "ttl_exceeded" })
   else scan ctx a l
 
 and scan ctx a l =
-  let neighbors = neighbors_of a in
-  let choice = Protocol.best_candidate ~pos:a.pos ~target:l.target neighbors in
+  let n = a.node in
+  let choice = Protocol.best_candidate ~pos:n.pos ~target:l.target (Protocol.neighbors n) in
   let l =
     if not l.traced then l
-    else begin
-      let best = match choice with Some (v, _) -> v | None -> -1 in
-      let l =
-        List.fold_left
-          (fun l v ->
-            if v = best then l
-            else
-              let dist = abs (v - l.target) in
-              tlog l
-                (T_cand
-                   {
-                     cur = a.pos;
-                     cand = v;
-                     dist;
-                     verdict =
-                       (if Protocol.advances ~pos:a.pos ~target:l.target ~cand:v then V_not_best
-                        else V_not_closer);
-                   }))
-          l neighbors
-      in
-      match choice with
-      | Some (v, d) -> tlog l (T_cand { cur = a.pos; cand = v; dist = d; verdict = V_chosen })
-      | None -> l
-    end
+    else
+      Protocol.fold_verdicts n ~target:l.target choice
+        (fun l ~cand ~dist verdict -> tlog l (T_cand { cur = n.pos; cand; dist; verdict }))
+        l
   in
   match choice with
   | None -> deliver ctx a l
@@ -231,7 +132,9 @@ and scan ctx a l =
            [on_dead_neighbor] path). *)
         ctx.counters.c_probes <- ctx.counters.c_probes + 1;
         let l =
-          tlog l (T_cand { cur = a.pos; cand = best; dist = best_dist; verdict = V_dead })
+          tlog l
+            (T_cand
+               { cur = n.pos; cand = best; dist = best_dist; verdict = Ftr_obs.Tracing.Dead_node })
         in
         repair ctx a ~dead:best;
         enter ctx a l
@@ -247,13 +150,14 @@ and deliver ctx a l =
   | Solicit { newcomer } ->
       (* The overlay charges the solicitation answer as one message. *)
       ctx.counters.c_messages <- ctx.counters.c_messages + 1;
-      consider_redirect ctx a ~newcomer);
-  ctx.complete l (Delivered { owner = a.pos; hops = l.hops });
+      if Option.is_some (Protocol.redirect a.rng a.node ~newcomer) then
+        ctx.counters.c_redirects <- ctx.counters.c_redirects + 1);
+  ctx.complete l (Delivered { owner = a.node.pos; hops = l.hops });
   match l.kind with
-  | (User | Link) when l.origin <> a.pos ->
+  | (User | Link) when l.origin <> a.node.pos ->
       ctx.counters.c_replies <- ctx.counters.c_replies + 1;
       ctx.send ~src:a ~dst:l.origin
-        (Resolved { request = l.request; owner = a.pos; hops = l.hops; kind = l.kind })
+        (Resolved { request = l.request; owner = a.node.pos; hops = l.hops; kind = l.kind })
   | User | Link | Placement _ | Solicit _ -> ()
 
 (* The owner-side half of a join splice (Overlay.insert_into_ring over
@@ -261,33 +165,34 @@ and deliver ctx a l =
    joiner itself, which is visible to probes while its join is in
    flight — probes both directions and continues the join inline. *)
 and splice_in ctx a ~joiner =
-  if joiner = a.pos then begin
-    a.left <- ring_probe ctx a ~from:a.pos ~dir:(-1);
-    a.right <- ring_probe ctx a ~from:a.pos ~dir:1;
-    (match a.left with
+  let n = a.node in
+  if joiner = n.pos then begin
+    n.left <- ring_probe ctx a ~from:n.pos ~dir:(-1);
+    n.right <- ring_probe ctx a ~from:n.pos ~dir:1;
+    (match n.left with
     | Some l ->
         ctx.counters.c_replies <- ctx.counters.c_replies + 1;
-        ctx.send ~src:a ~dst:l (Set_right (Some a.pos))
+        ctx.send ~src:a ~dst:l (Set_right (Some n.pos))
     | None -> ());
-    (match a.right with
+    (match n.right with
     | Some r ->
         ctx.counters.c_replies <- ctx.counters.c_replies + 1;
-        ctx.send ~src:a ~dst:r (Set_left (Some a.pos))
+        ctx.send ~src:a ~dst:r (Set_left (Some n.pos))
     | None -> ());
     continue_join ctx a
   end
-  else if a.pos < joiner then begin
+  else if n.pos < joiner then begin
     (* The stale-pointer case: our right pointer may still name a dead
        previous occupant of the joiner's own position; re-probe past it
        rather than handing the joiner a self-loop. *)
     let succ =
-      match a.right with
+      match n.right with
       | Some r when r = joiner -> ring_probe ctx a ~from:joiner ~dir:1
       | r -> r
     in
-    a.right <- Some joiner;
+    n.right <- Some joiner;
     ctx.counters.c_replies <- ctx.counters.c_replies + 1;
-    ctx.send ~src:a ~dst:joiner (Splice { left = Some a.pos; right = succ });
+    ctx.send ~src:a ~dst:joiner (Splice { left = Some n.pos; right = succ });
     match succ with
     | Some s ->
         ctx.counters.c_replies <- ctx.counters.c_replies + 1;
@@ -296,13 +201,13 @@ and splice_in ctx a ~joiner =
   end
   else begin
     let pred =
-      match a.left with
+      match n.left with
       | Some lp when lp = joiner -> ring_probe ctx a ~from:joiner ~dir:(-1)
       | lp -> lp
     in
-    a.left <- Some joiner;
+    n.left <- Some joiner;
     ctx.counters.c_replies <- ctx.counters.c_replies + 1;
-    ctx.send ~src:a ~dst:joiner (Splice { left = pred; right = Some a.pos });
+    ctx.send ~src:a ~dst:joiner (Splice { left = pred; right = Some n.pos });
     match pred with
     | Some p ->
         ctx.counters.c_replies <- ctx.counters.c_replies + 1;
@@ -314,36 +219,25 @@ and splice_in ctx a ~joiner =
    Poisson(ℓ) incoming ones (Overlay.join steps 2 and 3). *)
 and continue_join ctx a =
   for _ = 1 to ctx.links do
-    let sink = Ftr_core.Network.sample_long_target ctx.pl a.rng ~n:ctx.line_size ~src:a.pos in
-    start_lookup ctx a ~kind:Link ~target:sink
+    start_lookup ctx a ~kind:Link ~target:(sample_sink ctx a)
   done;
   let solicit = Sample.poisson a.rng ~lambda:(float_of_int ctx.links) in
   for _ = 1 to solicit do
-    let sink = Ftr_core.Network.sample_long_target ctx.pl a.rng ~n:ctx.line_size ~src:a.pos in
-    start_lookup ctx a ~kind:(Solicit { newcomer = a.pos }) ~target:sink
+    start_lookup ctx a ~kind:(Solicit { newcomer = a.node.pos }) ~target:(sample_sink ctx a)
   done
 
-(* Overlay.drop_dead_link over the frozen view: remove the dead long
-   link (regenerating it when the config says so), re-probe ring
-   pointers that named the dead node. *)
+and sample_sink ctx a =
+  Ftr_core.Network.sample_long_target ctx.pl a.rng ~n:ctx.line_size ~src:a.node.pos
+
+(* Protocol.repair over the frozen view, regenerating a dropped long
+   link through a routed lookup when the config says so. *)
 and repair ctx a ~dead =
-  if List.mem dead a.long then begin
-    remove_long a dead;
-    ctx.counters.c_repairs <- ctx.counters.c_repairs + 1;
-    if ctx.regenerate then begin
-      let sink = Ftr_core.Network.sample_long_target ctx.pl a.rng ~n:ctx.line_size ~src:a.pos in
-      start_lookup ctx a ~kind:Link ~target:sink
-    end
-  end;
-  let points_at o = match o with Some p -> p = dead | None -> false in
-  if points_at a.left then begin
-    a.left <- ring_probe ctx a ~from:dead ~dir:(-1);
-    ctx.counters.c_repairs <- ctx.counters.c_repairs + 1
-  end;
-  if points_at a.right then begin
-    a.right <- ring_probe ctx a ~from:dead ~dir:1;
-    ctx.counters.c_repairs <- ctx.counters.c_repairs + 1
-  end
+  let count_repair () = ctx.counters.c_repairs <- ctx.counters.c_repairs + 1 in
+  Protocol.repair a.node ~dead ~probe:(ring_probe ctx a)
+    ~on_long:(fun () ->
+      count_repair ();
+      if ctx.regenerate then start_lookup ctx a ~kind:Link ~target:(sample_sink ctx a))
+    ~on_ring:count_repair
 
 (* ------------------------------------------------------------------ *)
 (* The handler                                                         *)
@@ -357,38 +251,48 @@ let handle ctx a (payload : payload) =
       (* Claim the long link the routed lookup found, under the budget;
          dead origins never get here (the coordinator drains dead
          mailboxes), matching the overlay callback's [node.alive] guard. *)
-      if owner <> a.pos && (not (List.mem owner a.long)) && List.length a.long < ctx.links then
-        add_long a owner
+      let n = a.node in
+      if owner <> n.pos && (not (List.mem owner n.long)) && List.length n.long < ctx.links then
+        Protocol.add_long n owner
   | Resolved _ -> ()
   | Splice { left; right } ->
-      a.left <- left;
-      a.right <- right;
+      a.node.left <- left;
+      a.node.right <- right;
       continue_join ctx a
-  | Set_left v -> a.left <- v
-  | Set_right v -> a.right <- v
-  | Stabilize ->
-      let candidates = Array.of_list (neighbors_of a) in
-      if Array.length candidates > 0 then begin
-        let v = candidates.(Rng.int a.rng (Array.length candidates)) in
-        ctx.counters.c_probes <- ctx.counters.c_probes + 1;
-        if not (view_alive ctx v) then repair ctx a ~dead:v
-      end
+  | Set_left v -> a.node.left <- v
+  | Set_right v -> a.node.right <- v
+  | Stabilize -> (
+      match Protocol.random_neighbor a.rng a.node with
+      | Some v ->
+          ctx.counters.c_probes <- ctx.counters.c_probes + 1;
+          if not (view_alive ctx v) then repair ctx a ~dead:v
+      | None -> ())
   | Leave_now ->
-      (match a.left with
+      let n = a.node in
+      (match n.left with
       | Some l when view_alive ctx l ->
           ctx.counters.c_replies <- ctx.counters.c_replies + 1;
-          ctx.send ~src:a ~dst:l (Set_right a.right)
+          ctx.send ~src:a ~dst:l (Set_right n.right)
       | Some _ | None -> ());
-      (match a.right with
+      (match n.right with
       | Some r when view_alive ctx r ->
           ctx.counters.c_replies <- ctx.counters.c_replies + 1;
-          ctx.send ~src:a ~dst:r (Set_left a.left)
+          ctx.send ~src:a ~dst:r (Set_left n.left)
       | Some _ | None -> ());
-      a.alive <- false;
-      ctx.depart a.pos
+      n.alive <- false;
+      ctx.depart n.pos
   | Bounce { dead; lookup = l } ->
       (* Our chosen candidate crashed with the lookup in flight: record
          the dead pick, repair, re-scan with unchanged hops. *)
-      let l = tlog l (T_cand { cur = a.pos; cand = dead; dist = abs (dead - l.target); verdict = V_dead }) in
+      let l =
+        tlog l
+          (T_cand
+             {
+               cur = a.node.pos;
+               cand = dead;
+               dist = abs (dead - l.target);
+               verdict = Ftr_obs.Tracing.Dead_node;
+             })
+      in
       repair ctx a ~dead;
       enter ctx a l

@@ -331,15 +331,15 @@ let invariant_problems res =
       r.rp_issued r.rp_delivered r.rp_failed r.rp_timed_out;
   if r.rp_dropped <> 0 then bad "mailbox overflow dropped %d messages" r.rp_dropped;
   Service.iter_actors svc (fun v ->
-      if v.Service.av_mail_length <> 0 && v.Service.av_alive then
-        bad "actor %d still holds %d undrained messages" v.Service.av_pos
-          v.Service.av_mail_length;
+      let pos = v.Service.av_node.pos in
+      if v.Service.av_mail_length <> 0 && v.Service.av_node.alive then
+        bad "actor %d still holds %d undrained messages" pos v.Service.av_mail_length;
       if not v.Service.av_mail_well_ordered then
-        bad "actor %d mailbox violates the delivery order" v.Service.av_pos;
+        bad "actor %d mailbox violates the delivery order" pos;
       if v.Service.av_mail_high_water > v.Service.av_mail_capacity then
-        bad "actor %d mailbox high water %d exceeds capacity %d" v.Service.av_pos
+        bad "actor %d mailbox high water %d exceeds capacity %d" pos
           v.Service.av_mail_high_water v.Service.av_mail_capacity;
-      if List.length v.Service.av_long > Service.links svc then
-        bad "actor %d carries %d long links (budget %d)" v.Service.av_pos
-          (List.length v.Service.av_long) (Service.links svc));
+      if List.length v.Service.av_node.long > Service.links svc then
+        bad "actor %d carries %d long links (budget %d)" pos
+          (List.length v.Service.av_node.long) (Service.links svc));
   List.rev !problems

@@ -25,13 +25,13 @@ type lookup_kind =
   | Link  (* building or regenerating a 1/d long link *)
   | Solicit of { newcomer : int }  (* asking the sink's owner for an incoming link *)
 
-type verdict = V_chosen | V_not_best | V_not_closer | V_dead
-
 (* Per-hop decisions accumulated inside a traced lookup's payload; the
    coordinator replays them into [Ftr_obs.Tracing] at completion, so the
    flight recorder sees the same hop tree no matter which worker domain
    ran each hop. *)
-type trace_step = T_hop of int | T_cand of { cur : int; cand : int; dist : int; verdict : verdict }
+type trace_step =
+  | T_hop of int
+  | T_cand of { cur : int; cand : int; dist : int; verdict : Ftr_obs.Tracing.verdict }
 
 type lookup = {
   request : int;  (* driver-assigned id for [User], -1 for maintenance *)
@@ -40,7 +40,6 @@ type lookup = {
   hops : int;
   kind : lookup_kind;
   traced : bool;
-  path_rev : int list;  (* decision points visited, newest first *)
   tlog_rev : trace_step list;  (* flight-recorder log, newest first; empty unless traced *)
 }
 

@@ -63,7 +63,6 @@ type request_state = {
   rq_traced : bool;
   mutable rq_outcome : outcome option;
   mutable rq_done_at : int;
-  mutable rq_path : int list; (* forward visit order, filled at completion *)
 }
 
 (* Per-shard accumulator: everything a worker produces besides its own
@@ -190,7 +189,7 @@ let known t pos = Hashtbl.mem t.actors pos
 
 let live_positions t =
   refresh_order t;
-  Array.to_list (Array.of_seq (Seq.filter (view_alive t) (Array.to_seq t.order)))
+  Array.fold_right (fun pos acc -> if view_alive t pos then pos :: acc else acc) t.order []
 
 let live_count t =
   let n = ref 0 in
@@ -201,7 +200,7 @@ let register t ~pos ~alive =
   if pos < 0 || pos >= t.line_size then invalid_arg "Service.register: position off the line";
   if Hashtbl.mem t.actors pos then invalid_arg "Service.register: position already registered";
   let a = Actor.create ?capacity:t.capacity ~pos ~rng:(Seed.rng_for ~seed:t.seed ~index:pos) () in
-  a.Actor.alive <- alive;
+  a.Actor.node.alive <- alive;
   Hashtbl.replace t.actors pos a;
   if alive then Bytes.set t.alive_view pos '\001';
   t.order_dirty <- true;
@@ -219,13 +218,11 @@ let of_overlay ?capacity ?ttl ?(regenerate = true) ?shards ?record ~seed ov =
       ~ttl:(match ttl with Some v -> v | None -> O.ttl ov)
       ~regenerate ?shards ?record ~line_size:(O.line_size ov) ~links:(O.links ov) ~seed ()
   in
-  O.iter_nodes ov (fun v ->
-      let a = register t ~pos:v.O.view_pos ~alive:v.O.view_alive in
-      a.Actor.left <- v.O.view_left;
-      a.Actor.right <- v.O.view_right;
-      a.Actor.long <- v.O.view_long;
-      a.Actor.births <- v.O.view_births;
-      a.Actor.birth_tick <- List.fold_left max 0 v.O.view_births);
+  O.iter_nodes ov (fun (n : Ftr_p2p.Protocol.node) ->
+      let a = (register t ~pos:n.pos ~alive:n.alive).Actor.node in
+      a.left <- n.left;
+      a.right <- n.right;
+      a.long <- n.long);
   refresh_order t;
   t
 
@@ -265,12 +262,6 @@ let coord_send t ~dst ~deliver_at payload =
 (* Completion accounting (coordinator only)                            *)
 (* ------------------------------------------------------------------ *)
 
-let verdict_of = function
-  | V_chosen -> Ftr_obs.Tracing.Chosen
-  | V_not_best -> Ftr_obs.Tracing.Not_best
-  | V_not_closer -> Ftr_obs.Tracing.Not_closer
-  | V_dead -> Ftr_obs.Tracing.Dead_node
-
 (* Replay a traced request's per-hop log into the flight recorder. The
    log travelled inside the lookup payload, so the replay is identical no
    matter which domains ran the hops; the trace id is pure in
@@ -285,7 +276,7 @@ let replay_trace rq (l : lookup) (o : outcome) =
       (function
         | T_hop n -> T.hop tr ~node:n
         | T_cand { cur; cand; dist; verdict } ->
-            T.candidate tr ~cur ~cand ~dist (verdict_of verdict))
+            T.candidate tr ~cur ~cand ~dist verdict)
       (List.rev l.tlog_rev);
     match o with
     | Delivered { hops; _ } -> T.finish tr ~delivered:true ~hops ~stuck_at:(-1) ~reason:""
@@ -300,7 +291,6 @@ let complete t (l : lookup) (o : outcome) =
       | Some rq when Option.is_none rq.rq_outcome ->
           rq.rq_outcome <- Some o;
           rq.rq_done_at <- t.now;
-          rq.rq_path <- List.rev l.path_rev;
           (match o with
           | Delivered { hops; _ } ->
               t.stats.ok <- t.stats.ok + 1;
@@ -344,7 +334,6 @@ let request ?(traced = false) t ~src ~target =
       rq_traced = traced;
       rq_outcome = None;
       rq_done_at = -1;
-      rq_path = [];
     };
   t.stats.issued <- t.stats.issued + 1;
   if t.record then linef t "t=%d req %d %d->%d" t.now id src target;
@@ -357,7 +346,6 @@ let request ?(traced = false) t ~src ~target =
          hops = 0;
          kind = User;
          traced;
-         path_rev = [];
          tlog_rev = [];
        });
   id
@@ -381,14 +369,13 @@ let join t ~pos ~via =
          hops = 0;
          kind = Placement { joiner = pos };
          traced = false;
-         path_rev = [];
          tlog_rev = [];
        })
 
 let crash t ~pos =
   match Hashtbl.find_opt t.actors pos with
-  | Some a when a.Actor.alive ->
-      a.Actor.alive <- false;
+  | Some { Actor.node; _ } when node.alive ->
+      node.alive <- false;
       Bytes.set t.alive_view pos '\000';
       t.stats.crashes <- t.stats.crashes + 1;
       if t.record then linef t "t=%d crash %d" t.now pos;
@@ -421,7 +408,7 @@ let drain_dead t (a : Actor.t) =
     (fun (e : payload Mailbox.entry) ->
       t.stats.handled <- t.stats.handled + 1;
       if t.record then
-        linef t "t=%d dead %d<-%d#%d %s" t.now a.Actor.pos e.Mailbox.e_src e.Mailbox.e_seq
+        linef t "t=%d dead %d<-%d#%d %s" t.now a.Actor.node.pos e.Mailbox.e_src e.Mailbox.e_seq
           (describe e.Mailbox.e_msg);
       match e.Mailbox.e_msg with
       | Lookup l when e.Mailbox.e_src >= 0 ->
@@ -433,20 +420,20 @@ let drain_dead t (a : Actor.t) =
           a.Actor.next_seq <- seq + 1;
           post_env t
             {
-              src = a.Actor.pos;
+              src = a.Actor.node.pos;
               dst = e.Mailbox.e_src;
               seq;
               sent_at = t.now;
               deliver_at = t.now + t.latency;
-              payload = Bounce { dead = a.Actor.pos; lookup = { l with hops = l.hops - 1 } };
+              payload = Bounce { dead = a.Actor.node.pos; lookup = { l with hops = l.hops - 1 } };
             }
       | Lookup l ->
           (* Driver-issued lookup whose source died in the same tick. *)
-          complete t l (Failed { stuck_at = a.Actor.pos; hops = l.hops; reason = "carrier_died" })
+          complete t l (Failed { stuck_at = a.Actor.node.pos; hops = l.hops; reason = "carrier_died" })
       | Bounce { lookup; _ } ->
           (* The bounce came home to an origin that has since died. *)
           complete t lookup
-            (Failed { stuck_at = a.Actor.pos; hops = lookup.hops; reason = "origin_died" })
+            (Failed { stuck_at = a.Actor.node.pos; hops = lookup.hops; reason = "origin_died" })
       | Resolved _ | Splice _ | Set_left _ | Set_right _ | Stabilize | Leave_now ->
           t.stats.dead_letters <- t.stats.dead_letters + 1)
     (Mailbox.take_due a.Actor.mailbox ~now:t.now)
@@ -479,7 +466,7 @@ let process_shard t (due : Actor.t array) acc shard =
           src.Actor.next_seq <- seq + 1;
           acc.out_rev <-
             {
-              src = src.Actor.pos;
+              src = src.Actor.node.pos;
               dst;
               seq;
               sent_at = t.now;
@@ -497,7 +484,7 @@ let process_shard t (due : Actor.t array) acc shard =
       (fun (e : payload Mailbox.entry) ->
         if t.record then
           Buffer.add_string acc.buf
-            (Printf.sprintf "t=%d %d<-%d#%d %s\n" t.now a.Actor.pos e.Mailbox.e_src
+            (Printf.sprintf "t=%d %d<-%d#%d %s\n" t.now a.Actor.node.pos e.Mailbox.e_src
                e.Mailbox.e_seq (describe e.Mailbox.e_msg));
         Actor.handle ctx a e.Mailbox.e_msg)
       (Mailbox.take_due a.Actor.mailbox ~now:t.now)
@@ -530,7 +517,7 @@ let step t ~pool =
   Array.iter
     (fun pos ->
       let a = Hashtbl.find t.actors pos in
-      if not a.Actor.alive then
+      if not a.Actor.node.alive then
         match Mailbox.next_due a.Actor.mailbox with
         | Some d when d <= t.now -> drain_dead t a
         | Some _ | None -> ())
@@ -539,7 +526,7 @@ let step t ~pool =
   Array.iter
     (fun pos ->
       let a = Hashtbl.find t.actors pos in
-      if a.Actor.alive then
+      if a.Actor.node.alive then
         match Mailbox.next_due a.Actor.mailbox with
         | Some d when d <= t.now -> due := a :: !due
         | Some _ | None -> ())
@@ -597,18 +584,11 @@ let force_timeouts t =
 (* ------------------------------------------------------------------ *)
 
 type actor_view = {
-  av_pos : int;
-  av_alive : bool;
-  av_left : int option;
-  av_right : int option;
-  av_long : int list;
-  av_births : int list;
+  av_node : Ftr_p2p.Protocol.node; (* the actor's own record: read it, do not write it *)
   av_mail_length : int;
   av_mail_capacity : int;
-  av_mail_dropped : int;
   av_mail_high_water : int;
   av_mail_well_ordered : bool;
-  av_mail_keys : (int * int * int) list;
 }
 
 let iter_actors t f =
@@ -618,18 +598,11 @@ let iter_actors t f =
       let a = Hashtbl.find t.actors pos in
       f
         {
-          av_pos = a.Actor.pos;
-          av_alive = a.Actor.alive;
-          av_left = a.Actor.left;
-          av_right = a.Actor.right;
-          av_long = a.Actor.long;
-          av_births = a.Actor.births;
+          av_node = a.Actor.node;
           av_mail_length = Mailbox.length a.Actor.mailbox;
           av_mail_capacity = Mailbox.capacity a.Actor.mailbox;
-          av_mail_dropped = Mailbox.dropped a.Actor.mailbox;
           av_mail_high_water = Mailbox.high_water a.Actor.mailbox;
           av_mail_well_ordered = Mailbox.well_ordered a.Actor.mailbox;
-          av_mail_keys = Mailbox.keys a.Actor.mailbox;
         })
     t.order
 
@@ -640,7 +613,6 @@ type request_view = {
   rv_issued : int;
   rv_done_at : int;
   rv_outcome : outcome option;
-  rv_path : int list;
 }
 
 let request_outcome t ~request =
@@ -660,7 +632,6 @@ let iter_requests t f =
             rv_issued = rq.rq_issued;
             rv_done_at = rq.rq_done_at;
             rv_outcome = rq.rq_outcome;
-            rv_path = rq.rq_path;
           }
     | None -> ()
   done

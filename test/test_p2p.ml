@@ -1,5 +1,6 @@
 module Engine = Ftr_sim.Engine
 module Overlay = Ftr_p2p.Overlay
+module Protocol = Ftr_p2p.Protocol
 module Churn = Ftr_p2p.Churn
 module Rng = Ftr_prng.Rng
 
@@ -501,6 +502,147 @@ let prop_random_operations_preserve_invariants =
       && s.Overlay.maintenance_issued >= !protocol_joins
       && Engine.pending_events engine = 0)
 
+(* ------------------------------------------------------------------ *)
+(* Shared protocol rules                                               *)
+(* ------------------------------------------------------------------ *)
+
+let node_with ?left ?right pos long =
+  let n = Protocol.node pos in
+  n.left <- left;
+  n.right <- right;
+  n.long <- long;
+  n
+
+let remove_long_drops_one_copy () =
+  let n = node_with 50 [ 70; 20; 70; 90 ] in
+  Protocol.remove_long n 70;
+  Alcotest.(check (list int)) "first copy gone" [ 20; 70; 90 ] n.long;
+  Protocol.remove_long n 33;
+  Alcotest.(check (list int)) "absent link is a no-op" [ 20; 70; 90 ] n.long
+
+(* Run [f] on a fresh stream and count the raw draws it consumed, by
+   matching the stream's next output against a copy taken before. *)
+let with_draw_count f =
+  let rng = Rng.of_int 11 in
+  let before = Rng.copy rng in
+  let result = f rng in
+  let next = Rng.bits rng in
+  let rec count k = if k > 4 then -1 else if Rng.bits before = next then k else count (k + 1) in
+  (result, count 0)
+
+let redirect_draws () =
+  let draws n ~newcomer = with_draw_count (fun rng -> Protocol.redirect rng n ~newcomer) in
+  (* No long links, or the newcomer is the node itself: no draw. *)
+  Alcotest.(check (pair (option int) int)) "empty" (None, 0) (draws (node_with 500 []) ~newcomer:3);
+  Alcotest.(check (pair (option int) int))
+    "self" (None, 0)
+    (draws (node_with 500 [ 501 ]) ~newcomer:500);
+  (* A far newcomer against a link at distance 1: accepted with
+     probability 0.002 — rejected here after one draw. *)
+  let far = node_with 500 [ 501 ] in
+  Alcotest.(check (pair (option int) int)) "reject" (None, 1) (draws far ~newcomer:0);
+  Alcotest.(check (list int)) "reject keeps the links" [ 501 ] far.long;
+  (* A newcomer at distance 1 against two far links: accepted with
+     probability 0.994, then a second draw picks the victim. *)
+  let near = node_with 0 [ 400; 300 ] in
+  match draws near ~newcomer:1 with
+  | Some victim, 2 ->
+      Alcotest.(check (list int))
+        "victim swapped for the newcomer"
+        (1 :: List.filter (fun l -> l <> victim) [ 400; 300 ])
+        near.long
+  | r, k ->
+      Alcotest.failf "accept: expected a victim after two draws, got %s after %d"
+        (match r with Some v -> string_of_int v | None -> "none")
+        k
+
+let verdict_walk_order () =
+  let n = node_with ~left:40 ~right:60 50 [ 10; 90; 55 ] in
+  let target = 58 in
+  let choice = Protocol.best_candidate ~pos:50 ~target (Protocol.neighbors n) in
+  let walk =
+    Protocol.fold_verdicts n ~target choice
+      (fun acc ~cand ~dist v -> (cand, dist, Ftr_obs.Tracing.verdict_label v) :: acc)
+      []
+  in
+  Alcotest.(check (list (triple int int string)))
+    "rejected in neighbour order, then the pick"
+    [
+      (40, 18, "not_closer");
+      (10, 48, "not_closer");
+      (90, 32, "not_closer");
+      (55, 3, "not_best");
+      (60, 2, "chosen");
+    ]
+    (List.rev walk);
+  Alcotest.(check (list (triple int int string)))
+    "an owner lists every neighbour as not closer" [ (40, 10, "not_closer") ]
+    (Protocol.fold_verdicts (node_with ~left:40 50 []) ~target:50 None
+       (fun acc ~cand ~dist v -> (cand, dist, Ftr_obs.Tracing.verdict_label v) :: acc)
+       [])
+
+(* ------------------------------------------------------------------ *)
+(* Pinned churn run                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A seeded churn run through every protocol path — protocol joins,
+   crashes, graceful leaves, background stabilization, link regeneration
+   and jittered delivery — digested down to the final statistics and
+   every node's (pos, alive, left, right, long). Any change to a routing,
+   repair, redirect or splice decision, or to the order of RNG draws,
+   moves the digest. *)
+let churn_pin_digest () =
+  let line_size = 1024 in
+  let engine = Engine.create () in
+  let overlay =
+    Overlay.create
+      ~latency_model:(Ftr_sim.Latency.uniform ~lo:0.5 ~hi:2.0)
+      ~line_size ~links:4 ~rng:(Rng.of_int 2024) engine
+  in
+  populate_evenly overlay ~line_size ~count:48;
+  Overlay.enable_stabilization ~period:3.0 ~checks_per_tick:4 ~until:450.0 overlay;
+  let r = Rng.of_int 2025 in
+  for step = 1 to 150 do
+    let live = Array.of_list (Overlay.live_positions overlay) in
+    (match Rng.int r 8 with
+    | 0 | 1 ->
+        let pos = Rng.int r line_size in
+        if not (Overlay.is_alive overlay pos) then
+          Overlay.join overlay ~pos ~via:(Rng.pick r live)
+    | 2 -> if Array.length live > 8 then Overlay.crash overlay ~pos:(Rng.pick r live)
+    | 3 -> if Array.length live > 8 then Overlay.leave overlay ~pos:(Rng.pick r live)
+    | _ -> Overlay.lookup overlay ~from:(Rng.pick r live) ~target:(Rng.int r line_size) ());
+    Engine.run ~until:(3.0 *. float_of_int step) engine
+  done;
+  Engine.run engine;
+  let b = Buffer.create 4096 in
+  let s = Overlay.stats overlay in
+  List.iter
+    (fun v -> Buffer.add_string b (string_of_int v ^ ","))
+    [
+      s.Overlay.lookups_issued; s.lookups_ok; s.lookups_failed; s.hops_on_success;
+      s.maintenance_issued; s.maintenance_failed; s.messages; s.probes; s.repairs; s.joins;
+      s.crashes; s.leaves;
+    ];
+  let nodes = ref [] in
+  Overlay.iter_nodes overlay (fun (n : Protocol.node) ->
+      nodes := (n.pos, n.alive, n.left, n.right, n.long) :: !nodes);
+  let opt = function Some p -> string_of_int p | None -> "-" in
+  List.iter
+    (fun (pos, alive, left, right, long) ->
+      Buffer.add_string b
+        (Printf.sprintf "\n%d %b %s %s [%s]" pos alive (opt left) (opt right)
+           (String.concat ";" (List.map string_of_int long))))
+    (List.sort (fun (a, _, _, _, _) (b, _, _, _, _) -> Int.compare a b) !nodes);
+  (s, Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let churn_run_pinned () =
+  let s, digest = churn_pin_digest () in
+  Alcotest.(check bool) "every path exercised" true
+    (s.Overlay.joins > 48 && s.Overlay.crashes > 0 && s.Overlay.leaves > 0
+    && s.Overlay.repairs > 0);
+  Alcotest.(check string) "stats and node state digest" "920d3c687463f1be4f57b545d2081890" digest
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "p2p"
@@ -554,6 +696,13 @@ let () =
           quick "respects population floor" churn_respects_min_nodes;
           quick "rejects bad setup" churn_rejects_bad_setup;
         ] );
+      ( "protocol",
+        [
+          quick "remove_long drops one copy" remove_long_drops_one_copy;
+          quick "redirect draws 0, 1 or 2 floats" redirect_draws;
+          quick "verdict walk order" verdict_walk_order;
+        ] );
+      ("pins", [ quick "churn run pinned" churn_run_pinned ]);
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_random_operations_preserve_invariants ] );
     ]

@@ -72,6 +72,38 @@ let mailbox_order_qcheck =
    the same owner and hop count for the same request sequence, with both
    sides' cumulative repairs kept in lockstep by issuing one lookup at a
    time. *)
+(* Issue the same lookups on both sides, one at a time and each run to
+   quiescence, so both sides' cumulative repairs stay in lockstep; one
+   line per lookup whose (owner, hops) differ. *)
+let compare_lookups ~label ov engine svc pool pairs =
+  List.filter_map
+    (fun (from, target) ->
+      (* Synchronous side. *)
+      let sync_result = ref None in
+      Overlay.lookup ov ~from ~target
+        ~callback:(fun ~owner ~hops -> sync_result := Some (owner, hops))
+        ();
+      Engine.run engine;
+      (* Served side: same request, run to quiescence. *)
+      let id = Service.request svc ~src:from ~target in
+      ignore (Service.drain svc ~pool);
+      let served =
+        match Service.request_outcome svc ~request:id with
+        | Some (Message.Delivered { owner; hops }) -> Some (owner, hops)
+        | Some (Message.Failed _) | None -> None
+      in
+      let show = function Some (o, h) -> Printf.sprintf "ok(%d,%d)" o h | None -> "fail" in
+      if served = !sync_result then None
+      else
+        Some
+          (Printf.sprintf "%s %d->%d: sync=%s served=%s" label from target (show !sync_result)
+             (show served)))
+    pairs
+
+(* Build a populated overlay with a failure set, all under regeneration
+   off and constant latency, so a lookup's outcome is a pure function of
+   link state — then check the served path and the synchronous path give
+   the same owner and hop count for the same request sequence. *)
 let equivalence_run seed =
   let line_size = 512 and links = 4 and count = 40 in
   let rng = Rng.of_int seed in
@@ -92,43 +124,105 @@ let equivalence_run seed =
   (* Snapshot the post-failure network into the service before either
      side routes anything. *)
   let svc = Service.of_overlay ~regenerate:false ~seed ov in
-  let mismatches = ref [] in
-  Pool.with_resident ~jobs:2 (fun pool ->
-      for _ = 1 to 25 do
-        let lives = Array.of_list (Overlay.live_positions ov) in
+  let lives = Array.of_list (Overlay.live_positions ov) in
+  let pairs =
+    List.init 25 (fun _ ->
         let from = lives.(Rng.int rng (Array.length lives)) in
-        let target = Rng.int rng line_size in
-        (* Synchronous side. *)
-        let sync_result = ref None in
-        Overlay.lookup ov ~from ~target
-          ~callback:(fun ~owner ~hops -> sync_result := Some (owner, hops))
-          ();
-        Engine.run engine;
-        (* Served side: same request, run to quiescence. *)
-        let id = Service.request svc ~src:from ~target in
-        ignore (Service.drain svc ~pool);
-        let served =
-          match Service.request_outcome svc ~request:id with
-          | Some (Message.Delivered { owner; hops }) -> Some (owner, hops)
-          | Some (Message.Failed _) | None -> None
-        in
-        if served <> !sync_result then
-          mismatches :=
-            Printf.sprintf "seed=%d %d->%d: sync=%s served=%s" seed from target
-              (match !sync_result with
-              | Some (o, h) -> Printf.sprintf "ok(%d,%d)" o h
-              | None -> "fail")
-              (match served with
-              | Some (o, h) -> Printf.sprintf "ok(%d,%d)" o h
-              | None -> "fail")
-            :: !mismatches
-      done);
-  !mismatches
+        (from, Rng.int rng line_size))
+  in
+  Pool.with_resident ~jobs:2 (fun pool ->
+      compare_lookups ~label:(Printf.sprintf "seed=%d" seed) ov engine svc pool pairs)
 
 let equivalence_fixed () =
   match equivalence_run 42 with
   | [] -> ()
   | ms -> Alcotest.failf "served/synchronous divergence:\n%s" (String.concat "\n" ms)
+
+(* Graceful leave next to an unrepaired crash: line 64, nodes
+   {10, 20, 30, 40}, 30 crashes, then 20 leaves. Each live ring
+   neighbour of the leaver must get the leaver's other pointer as it is
+   (here 10 gets the stale 30), so a later probe walks past the crash to
+   40. Cutting 10's right pointer instead would leave 10 owning
+   everything to its right, permanently. *)
+let equivalence_leave_next_to_crash () =
+  let line_size = 64 in
+  let engine = Engine.create () in
+  let ov = Overlay.create ~regenerate:false ~line_size ~links:1 ~rng:(Rng.of_int 3) engine in
+  Overlay.populate ov ~positions:[ 10; 20; 30; 40 ];
+  Engine.run engine;
+  let svc = Service.of_overlay ~regenerate:false ~seed:3 ov in
+  Overlay.crash ov ~pos:30;
+  Overlay.leave ov ~pos:20;
+  Engine.run engine;
+  let owner_from_10 target =
+    let owner = ref (-1) in
+    Overlay.lookup ov ~from:10 ~target ~callback:(fun ~owner:o ~hops:_ -> owner := o) ();
+    Engine.run engine;
+    !owner
+  in
+  Pool.with_resident ~jobs:1 (fun pool ->
+      Service.crash svc ~pos:30;
+      Service.leave svc ~pos:20;
+      ignore (Service.drain svc ~pool);
+      (match compare_lookups ~label:"leave" ov engine svc pool [ (10, 35); (10, 60); (40, 12) ] with
+      | [] -> ()
+      | ms -> Alcotest.failf "served/synchronous divergence:\n%s" (String.concat "\n" ms));
+      Alcotest.(check (list int)) "owners from 10 after the leave" [ 40; 40 ]
+        [ owner_from_10 35; owner_from_10 60 ])
+
+(* Both runtimes trace through the same verdict walk: after the same
+   crashes, one traced lookup on each side must leave the same flight-
+   recorder steps — hop nodes and candidate verdicts, times aside. *)
+let equivalence_traces () =
+  let module T = Ftr_obs.Tracing in
+  let render tr =
+    List.map
+      (function
+        | T.Hop { node; _ } -> Printf.sprintf "hop %d" node
+        | T.Candidate { cur; cand; dist; verdict; _ } ->
+            Printf.sprintf "%d->%d d=%d %s" cur cand dist (T.verdict_label verdict)
+        | T.Backtrack _ | T.Reroute _ -> "unexpected")
+      (T.steps tr)
+  in
+  let latest () = match T.latest () with Some tr -> render tr | None -> [ "no trace" ] in
+  let line_size = 512 in
+  let engine = Engine.create () in
+  let ov = Overlay.create ~regenerate:false ~line_size ~links:4 ~rng:(Rng.of_int 8) engine in
+  Overlay.populate ov ~positions:(List.init 40 (fun i -> i * line_size / 40));
+  List.iter (fun pos -> Overlay.crash ov ~pos) [ 64; 128; 140; 256; 371 ];
+  let svc = Service.of_overlay ~regenerate:false ~seed:8 ov in
+  let was_recording = !T.recording_ref in
+  Fun.protect
+    ~finally:(fun () ->
+      T.force_full false;
+      T.set_recording was_recording;
+      T.reset ())
+    (fun () ->
+      Ftr_obs.Flag.with_mode true (fun () ->
+          T.set_recording true;
+          T.force_full true;
+          T.reset ();
+          let seen = ref [] in
+          Pool.with_resident ~jobs:1 (fun pool ->
+              List.iter
+                (fun (from, target) ->
+                  Overlay.lookup ov ~from ~target ();
+                  Engine.run engine;
+                  let sync = latest () in
+                  seen := sync @ !seen;
+                  ignore (Service.request ~traced:true svc ~src:from ~target);
+                  ignore (Service.drain svc ~pool);
+                  Alcotest.(check (list string))
+                    (Printf.sprintf "%d->%d steps" from target)
+                    sync (latest ()))
+                [ (0, 300); (12, 140); (499, 70); (384, 129); (25, 25) ]);
+          List.iter
+            (fun verdict ->
+              Alcotest.(check bool)
+                (verdict ^ " verdicts recorded")
+                true
+                (List.exists (String.ends_with ~suffix:(" " ^ verdict)) !seen))
+            [ "chosen"; "not_best"; "not_closer"; "dead_node" ]))
 
 let equivalence_qcheck =
   QCheck.Test.make ~count:8 ~name:"served lookups match the synchronous overlay"
@@ -183,6 +277,26 @@ let invariants_hold_after_churn () =
   let r = res.Driver.res_report in
   Alcotest.(check bool) "work happened" true (r.Driver.rp_issued > 0 && r.Driver.rp_crashes > 0)
 
+(* A churned serve run with graceful leaves, digested down to the
+   deterministic report lines, the transcript and every actor's final
+   links: any change to a handler's decision or RNG draw order moves it. *)
+let leave_run_pinned () =
+  let res = Driver.run { churn_config with Driver.seed = 21; ticks = 40; leave_rate = 0.75 } in
+  let b = Buffer.create 65536 in
+  Buffer.add_string b (serialize res);
+  let opt = function Some p -> string_of_int p | None -> "-" in
+  Service.iter_actors res.Driver.res_service (fun v ->
+      let n = v.Service.av_node in
+      Buffer.add_string b
+        (Printf.sprintf "%d %b %s %s [%s]\n" n.pos n.alive (opt n.left) (opt n.right)
+           (String.concat ";" (List.map string_of_int n.long))));
+  let r = res.Driver.res_report in
+  Alcotest.(check bool) "leaves and crashes happened" true
+    (r.Driver.rp_leaves > 0 && r.Driver.rp_crashes > 0);
+  Alcotest.(check string) "report, transcript and links digest"
+    "34c4329176245909ff04fe4d95b77093"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ------------------------------------------------------------------ *)
 (* Kill mid-churn: the scheduler drains clean                          *)
 (* ------------------------------------------------------------------ *)
@@ -215,10 +329,10 @@ let kill_mid_churn_drains_clean () =
   Alcotest.(check int) "no overflow drops" 0 s.Service.dropped;
   Service.iter_actors svc (fun v ->
       Alcotest.(check int)
-        (Printf.sprintf "actor %d mailbox empty" v.Service.av_pos)
+        (Printf.sprintf "actor %d mailbox empty" v.Service.av_node.pos)
         0 v.Service.av_mail_length;
       Alcotest.(check bool)
-        (Printf.sprintf "actor %d mailbox ordered" v.Service.av_pos)
+        (Printf.sprintf "actor %d mailbox ordered" v.Service.av_node.pos)
         true v.Service.av_mail_well_ordered)
 
 (* ------------------------------------------------------------------ *)
@@ -236,12 +350,15 @@ let () =
         [
           Alcotest.test_case "fixed seed" `Quick equivalence_fixed;
           QCheck_alcotest.to_alcotest equivalence_qcheck;
+          Alcotest.test_case "leave next to a crash" `Quick equivalence_leave_next_to_crash;
+          Alcotest.test_case "traced steps agree" `Quick equivalence_traces;
         ] );
       ( "determinism",
         [
           Alcotest.test_case "transcript jobs-invariant under churn" `Slow
             transcript_jobs_invariant;
           Alcotest.test_case "invariants hold after churn" `Quick invariants_hold_after_churn;
+          Alcotest.test_case "leave run pinned" `Quick leave_run_pinned;
         ] );
       ( "drain",
         [ Alcotest.test_case "kill mid-churn drains clean" `Quick kill_mid_churn_drains_clean ]
