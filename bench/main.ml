@@ -66,6 +66,14 @@ let section title =
 
 let subsection title = Printf.printf "\n--- %s ---\n%!" title
 
+(* The correctness bits the sections compute — outcome identity against
+   the reference router, jobs invariance, cache contracts. A section
+   records each one that fails and carries on, so every report still gets
+   written; the harness then exits 1, which fails `dune build @perf`. *)
+let gate_failures = ref []
+
+let gate ok what = if not ok then gate_failures := what :: !gate_failures
+
 (* ------------------------------------------------------------------ *)
 (* Figure 5                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -906,6 +914,7 @@ let run_exec () =
         Printf.printf "%28s: jobs=1 %7.2f s, jobs=%d %7.2f s, speedup %5.2fx%s\n%!" name t1 jobs
           tj (t1 /. tj)
           (if r1 = rj then "" else "  [OUTPUT MISMATCH]");
+        gate (r1 = rj) (Printf.sprintf "exec: %s output differs at jobs=%d" name jobs);
         rows := (name, t1, Some (tj, r1 = rj)) :: !rows
   in
   let networks = if full then 8 else 4 in
@@ -1006,6 +1015,7 @@ let run_serve () =
           "serve (churny workload)" (rate r1) jobs (rate rj)
           (rate rj /. rate r1)
           (if same then "" else "  [OUTPUT MISMATCH]");
+        gate same (Printf.sprintf "serve: report differs at jobs=%d" jobs);
         Ftr_obs.Json.
           [
             ("jobs", Int jobs);
@@ -1105,6 +1115,9 @@ let run_lint () =
          else "  [CACHE CONTRACT BROKEN]");
       Printf.printf "%28s: --jobs 1 vs --jobs 4 streams %s\n%!" "jobs invariance"
         (if jobs_identical then "identical" else "DIFFER");
+      gate warm_identical "lint: the warm rerun's findings differ from the cold run's";
+      gate (ws.Flow_driver.fl_analyzed = 0) "lint: the warm rerun analyzed units";
+      gate jobs_identical "lint: findings differ between --jobs 1 and --jobs 4";
       write_lint_report
         Ftr_obs.Json.(
           Obj
@@ -1297,6 +1310,8 @@ let run_route_throughput () =
     Printf.printf "flat CSR router:  %12.0f hops/s\n" csr_hps;
     Printf.printf "speedup: %.2fx%s\n%!" speedup
       (if !mismatches = 0 then "" else Printf.sprintf "  [%d OUTCOME MISMATCHES]" !mismatches);
+    gate (!mismatches = 0)
+      (Printf.sprintf "route %s: %d outcome mismatches against the reference" name !mismatches);
     json_rows :=
       ( name,
         legacy_hps,
@@ -1435,6 +1450,8 @@ let run_scale () =
       @@ fun () ->
       if reroute ~jobs:4 <> reference then identical := false;
       Printf.printf "jobs 1/2/4 + FTR_EXEC_SEQ=1 merged outcomes identical: %b\n" !identical;
+      gate !identical
+        (Printf.sprintf "scale n=%d: outcomes differ across jobs 1/2/4 and FTR_EXEC_SEQ=1" n);
       (* Snapshot round trip through a scratch file: save, then the mmap
          load the CLI serves from. *)
       let snap = Filename.temp_file "ftr_scale" ".ftrsnap" in
@@ -1693,4 +1710,9 @@ let () =
       close_out oc;
       Printf.printf "[obs] wrote %s\n%!" path
   | None -> ());
-  Printf.printf "\ntotal wall time: %.1f s\n%!" (Unix.gettimeofday () -. t0)
+  Printf.printf "\ntotal wall time: %.1f s\n%!" (Unix.gettimeofday () -. t0);
+  match List.rev !gate_failures with
+  | [] -> ()
+  | failures ->
+      List.iter (Printf.eprintf "bench: FAILED %s\n") failures;
+      exit 1

@@ -94,23 +94,37 @@ let restore_scratch b = match b.bs_home with Some cell -> cell := Some b.bs | No
 
 type distance =
   | Sorted_line of I32.t
+  | Index_line
   | Metric of { dist : int -> int -> int; admissible : (cur:int -> int -> dst:int -> bool) option }
 
-(* The two-sided line distance is computed inline — one array load and
-   some integer arithmetic per candidate; every other metric goes through
-   its function. Callers have checked that [positions] covers [v] and
-   [target]. *)
+(* The positions a line distance reads: none on a full line, whose node
+   index is its position. *)
+let no_positions = I32.create 0
+
+let line_positions = function Sorted_line p -> p | Index_line | Metric _ -> no_positions
+
+let is_dense = function Index_line -> true | Sorted_line _ | Metric _ -> false
+
+(* Node [v]'s position on a line: [v] itself when [dense] (an
+   {!Index_line}), else one load from [positions], which callers have
+   checked covers [v]. *)
+let[@inline] line_pos ~dense positions v = if dense then v else I32.unsafe_get positions v
+
+(* The two-sided line distance is computed inline — at most one array load
+   per endpoint and some integer arithmetic; every other metric goes
+   through its function. *)
 let dist_to distance v target =
   match distance with
-  | Sorted_line positions ->
-      let d = I32.unsafe_get positions v - I32.unsafe_get positions target in
+  | Sorted_line _ | Index_line ->
+      let dense = is_dense distance and positions = line_positions distance in
+      let d = line_pos ~dense positions v - line_pos ~dense positions target in
       if d < 0 then -d else d
   | Metric { dist; _ } -> dist v target
 
 let admits distance ~cur v ~dst =
   match distance with
   | Metric { admissible = Some f; _ } -> f ~cur v ~dst
-  | Metric { admissible = None; _ } | Sorted_line _ -> true
+  | Metric { admissible = None; _ } | Sorted_line _ | Index_line -> true
 
 (* Sanitizer hook: a hop chosen in [`Strict] mode must obey the greedy
    contract — strictly decrease the routing distance, and on one-sided
@@ -142,7 +156,10 @@ let greedy ?(failures = Failure.none) ?(strategy = Terminate) ?(max_hops = 1_000
   (match distance with
   | Sorted_line positions when I32.length positions < n ->
       invalid_arg "Route.greedy: fewer positions than nodes"
-  | Sorted_line _ | Metric _ -> ());
+  | Sorted_line _ | Index_line | Metric _ -> ());
+  (* The line scan's one difference between its two constructors: whether
+     a position is the node index or a load from [positions]. *)
+  let dense = is_dense distance and positions = line_positions distance in
   (* Flight recorder (docs/OBSERVABILITY.md, "Tracing"): nothing is
      recorded unless the caller passed a live trace, and every recording
      call below hides behind [tracing] — one immediate bool per check — so
@@ -257,7 +274,7 @@ let greedy ?(failures = Failure.none) ?(strategy = Terminate) ?(max_hops = 1_000
     let limit = match mode with `Strict -> cur_dist | `Any -> max_int in
     let best = ref (-1) and best_idx = ref (-1) and best_dist = ref limit in
     (match distance with
-    | Sorted_line positions ->
+    | Sorted_line _ | Index_line ->
       (* Line fast path, exploiting the per-row sorted invariant: the live
          neighbour closest to [dst] is found by bisecting the row to the
          two entries bracketing [dst_pos] and walking the brackets outward
@@ -270,12 +287,14 @@ let greedy ?(failures = Failure.none) ?(strategy = Terminate) ?(max_hops = 1_000
          it goes. (When duplicate row entries name one node, the two orders
          can record a different *slot* in [stamps], but the slots alias
          the same node with the same remaining multiplicity, so the
-         visited-node sequence — and the outcome — is unchanged.) *)
-      let dst_pos = I32.unsafe_get positions dst in
+         visited-node sequence — and the outcome — is unchanged.) On an
+         {!Index_line} every position is the row entry itself, so the scan
+         reads the row and nothing else. *)
+      let dst_pos = line_pos ~dense positions dst in
       let lo = ref 0 and hi = ref deg in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        if I32.unsafe_get positions (I32.unsafe_get targets (base + mid)) >= dst_pos then
+        if line_pos ~dense positions (I32.unsafe_get targets (base + mid)) >= dst_pos then
           hi := mid
         else lo := mid + 1
       done;
@@ -283,12 +302,10 @@ let greedy ?(failures = Failure.none) ?(strategy = Terminate) ?(max_hops = 1_000
       let scanning = ref true in
       while !scanning do
         let dl =
-          if !l >= 0 then
-            dst_pos - I32.unsafe_get positions (I32.unsafe_get targets (base + !l))
+          if !l >= 0 then dst_pos - line_pos ~dense positions (I32.unsafe_get targets (base + !l))
           else max_int
         and dr =
-          if !r < deg then
-            I32.unsafe_get positions (I32.unsafe_get targets (base + !r)) - dst_pos
+          if !r < deg then line_pos ~dense positions (I32.unsafe_get targets (base + !r)) - dst_pos
           else max_int
         in
         let take_left = dl <= dr in
@@ -522,6 +539,7 @@ let greedy ?(failures = Failure.none) ?(strategy = Terminate) ?(max_hops = 1_000
 
 let network_distance ?(side = Two_sided) net =
   match (side, Network.geometry net) with
+  | Two_sided, Network.Line when Network.is_full net -> Index_line
   | Two_sided, Network.Line -> Sorted_line (Network.positions net)
   | Two_sided, Network.Circle -> Metric { dist = Network.distance net; admissible = None }
   | One_sided, _ ->

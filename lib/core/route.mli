@@ -95,13 +95,20 @@ type distance =
   | Sorted_line of Ftr_graph.Adjacency.I32.t
       (** Two-sided distance between these positions on a line with sorted
           rows: the scan bisects each row, with no call per candidate. *)
+  | Index_line
+      (** Two-sided distance on a full line, whose node index is its
+          position ([|v - t|]): the same scan as {!Sorted_line}, reading
+          the rows and no positions. Exact for a network with as many
+          nodes as grid points, whose strictly increasing positions in
+          [\[0, n)] are exactly [0 .. n-1]. *)
   | Metric of { dist : int -> int -> int; admissible : (cur:int -> int -> dst:int -> bool) option }
       (** [dist v target]; [admissible], when present, additionally
           filters candidates (the one-sided no-overshoot rule). *)
 
 val network_distance : ?side:side -> Network.t -> distance
 (** The distance {!route} routes a network by (default two-sided):
-    {!Sorted_line} on a two-sided line, the network's metric otherwise. *)
+    {!Index_line} on a full two-sided line ({!Network.is_full}),
+    {!Sorted_line} on a sparse one, the network's metric otherwise. *)
 
 type on_dead =
   | Skip  (** a dead candidate is passed over for free (crash failures) *)

@@ -111,10 +111,12 @@ let write_json_report path ~stages ~files ~fresh ~baselined ~stale ~flow_stats ~
    unselected stages are carried over from the existing file untouched,
    so `--stage typed --update-baseline` cannot eat syntactic entries.
 
-   When the flow stage runs, syntactic R3/R4 findings in files the flow
+   When the flow stage runs, syntactic R4 findings in files the flow
    corpus covers are dropped: D1's path-sensitive gate dominance
-   supersedes their 3-ancestor heuristic, which survives only as the
+   supersedes R4's 3-ancestor heuristic, which survives only as the
    parse-only fallback for files with no .cmt (and for flow-less runs).
+   R3 (hash-order iteration feeding output) has no flow counterpart and
+   is always kept.
 
    [profile_test] is the relaxed test profile: R1 (tests drive wall
    clocks freely) and T2 (its propagation) findings are dropped,
@@ -172,9 +174,7 @@ let run ?baseline ?write_baseline ?json ?(quiet = false)
       let syntactic =
         List.filter
           (fun ((f : Finding.t), _) ->
-            match f.rule with
-            | Finding.R3 | Finding.R4 -> not (flow_covered f.file)
-            | _ -> true)
+            match f.rule with Finding.R4 -> not (flow_covered f.file) | _ -> true)
           syntactic
       in
       let profile_drop (f : Finding.t) =

@@ -306,7 +306,11 @@ let random_builder_keeps_duplicates () =
 (* With a reusable scratch, a route's minor-heap allocation is a small
    per-call constant (outcome record plus a few closures — measured at
    ~130 words) and independent of hop count: a 65535-hop route must stay
-   under a bound two orders of magnitude below one word per hop. *)
+   under a bound two orders of magnitude below one word per hop. The
+   same holds on the kernel's {!Route.Index_line} directly, which reads
+   no positions: choosing it allocates nothing (a sparse line allocates
+   a [Sorted_line] block per [Route.route] call), and a Terminate route
+   allocates exactly as much for 65535 hops as for one. *)
 let minor_words_independent_of_hops () =
   let n = 1 lsl 16 in
   (* links:0 leaves only immediate neighbours, so src=0 -> dst=n-1 walks
@@ -333,7 +337,27 @@ let minor_words_independent_of_hops () =
     true (terminate < 512.0);
   Alcotest.(check bool)
     (Printf.sprintf "backtrack: %.0f minor words for %d hops" backtrack (n - 1))
-    true (backtrack < 512.0)
+    true (backtrack < 512.0);
+  let csr = Network.csr net in
+  let pick = measure (fun () -> ignore (Sys.opaque_identity (Route.network_distance net))) in
+  let index_backtrack =
+    measure (fun () ->
+        ignore
+          (Route.greedy ~strategy:(Route.Backtrack { history = 5 }) ~scratch csr Route.Index_line
+             ~src:0 ~dst:(n - 1)))
+  in
+  let index_terminate dst =
+    measure (fun () -> ignore (Route.greedy ~scratch csr Route.Index_line ~src:0 ~dst))
+  in
+  let one_hop = index_terminate 1 and all_hops = index_terminate (n - 1) in
+  Alcotest.(check (float 0.0)) "network_distance on a full line allocates nothing" 0.0 pick;
+  Alcotest.(check bool)
+    (Printf.sprintf "index-line backtrack: %.0f minor words for %d hops" index_backtrack (n - 1))
+    true (index_backtrack < 512.0);
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "index-line terminate: %.0f words for 1 hop, %.0f for %d" one_hop all_hops
+       (n - 1))
+    one_hop all_hops
 
 (* The torus and Byzantine routes share the same kernel, so the same
    budget holds for them: a backtracking route across half a 2^16-node

@@ -46,8 +46,8 @@ let findings_of file =
 
 let test_corpus () =
   let _, (stats : Flow_driver.stats) = Lazy.force fixture in
-  Alcotest.(check int) "all twelve fixture units loaded" 12 stats.Flow_driver.fl_units;
-  Alcotest.(check int) "all analyzed on a cache-less run" 12 stats.Flow_driver.fl_analyzed;
+  Alcotest.(check int) "all thirteen fixture units loaded" 13 stats.Flow_driver.fl_units;
+  Alcotest.(check int) "all analyzed on a cache-less run" 13 stats.Flow_driver.fl_analyzed;
   Alcotest.(check int) "nothing cached on a cache-less run" 0 stats.Flow_driver.fl_cached
 
 (* D1: the ungated write and the post-join write fire; the gated write,
@@ -98,6 +98,30 @@ let test_d4 () =
   | [ ("D4", 10, m) ] ->
       Alcotest.(check bool) "suggests hoisting" true (contains m "hoist")
   | fs -> Alcotest.failf "expected exactly one D4 finding, got %d findings" (List.length fs)
+
+(* --stage all keeps syntactic R3 on a flow-covered unit — no flow rule
+   checks iteration order — while D1 still supersedes R4 there: the
+   ungated write in d1_gate.ml is reported once, as D1. *)
+let test_stage_all_keeps_r3 () =
+  let cwd = Sys.getcwd () in
+  Fun.protect ~finally:(fun () -> Sys.chdir cwd) @@ fun () ->
+  Sys.chdir (Lazy.force root);
+  let json = Filename.temp_file "ftr_lint_all" ".json" in
+  let code =
+    Driver.run ~json ~quiet:true ~stages:[ Finding.Syntactic; Finding.Typed; Finding.Flow ]
+      ~dirs:[ "test/lint_fixture" ] ()
+  in
+  let ic = open_in_bin json in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove json;
+  let _, (stats : Flow_driver.stats) = Lazy.force fixture in
+  Alcotest.(check bool) "the R3 unit is flow-covered" true
+    (List.exists (fun src -> contains src "r3_order.ml") stats.Flow_driver.fl_sources);
+  Alcotest.(check int) "findings exit 1" 1 code;
+  Alcotest.(check bool) "R3 reported on the flow-covered unit" true
+    (contains text {|"file":"test/lint_fixture/r3_order.ml","line":8,"col":2,"rule":"R3"|});
+  Alcotest.(check bool) "R4 still superseded by D1" false (contains text {|"rule":"R4"|})
 
 (* Baseline: flow findings round-trip under the `flow:` namespace. *)
 let test_flow_baseline () =
@@ -185,9 +209,9 @@ let test_cache_warm () =
   @@ fun () ->
   let cold, (cs : Flow_driver.stats) = analyze_fixture ~cache_dir:dir () in
   let warm, (ws : Flow_driver.stats) = analyze_fixture ~cache_dir:dir () in
-  Alcotest.(check int) "cold run analyzes every unit" 12 cs.Flow_driver.fl_analyzed;
+  Alcotest.(check int) "cold run analyzes every unit" 13 cs.Flow_driver.fl_analyzed;
   Alcotest.(check int) "warm run analyzes zero units" 0 ws.Flow_driver.fl_analyzed;
-  Alcotest.(check int) "warm run serves every unit from cache" 12 ws.Flow_driver.fl_cached;
+  Alcotest.(check int) "warm run serves every unit from cache" 13 ws.Flow_driver.fl_cached;
   Alcotest.(check string) "identical finding streams" (render cold) (render warm)
 
 (* qcheck: the rendered finding stream is byte-identical across
@@ -251,6 +275,7 @@ let () =
           Alcotest.test_case "D2 snapshot typestate" `Quick test_d2_snapshot;
           Alcotest.test_case "D3 message protocol" `Quick test_d3;
           Alcotest.test_case "D4 loop-invariant reload" `Quick test_d4;
+          Alcotest.test_case "--stage all keeps R3, drops R4" `Quick test_stage_all_keeps_r3;
         ] );
       ( "machinery",
         [

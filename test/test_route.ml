@@ -864,6 +864,87 @@ let prop_backtrack_never_worse_than_terminate =
       let b = Route.route ~failures ~strategy:(Route.Backtrack { history = 5 }) net ~src ~dst in
       (not (Route.delivered t)) || Route.delivered b)
 
+(* On a full line a node's index is its position, so {!Route.Index_line}
+   and {!Route.Sorted_line} over the network's own positions are the same
+   distance: the kernel must produce the same outcome, visit sequence and
+   tally under every strategy (seeded reroute included), failure model,
+   dead-candidate policy and hop budget. *)
+let prop_index_line_matches_sorted_line =
+  QCheck.Test.make ~name:"index line routes as the sorted line on full networks" ~count:150
+    QCheck.(triple (int_range 2 512) (int_range 0 6) small_int)
+    (fun (n, links, seed) ->
+      let net = Network.build_ideal ~n ~links (Rng.of_int seed) in
+      let csr = Network.csr net and positions = Network.positions net in
+      let r = Rng.of_int (seed + 3) in
+      let node_view () =
+        Failure.of_node_mask
+          (Failure.random_node_fraction r ~n ~fraction:(0.5 *. Rng.float r))
+      in
+      let link_view () = Failure.of_link_mask (Failure.random_link_mask r net ~present_p:0.5) in
+      let failures =
+        match Rng.int r 4 with
+        | 0 -> Failure.none
+        | 1 -> node_view ()
+        | 2 -> link_view ()
+        | _ -> Failure.compose (node_view ()) (link_view ())
+      in
+      let strategies =
+        [
+          Route.Terminate;
+          Route.Random_reroute { attempts = 2 };
+          Route.Backtrack { history = 1 };
+          Route.Backtrack { history = 5 };
+        ]
+      in
+      let run ~strategy ~dead ~max_hops ~src ~dst distance =
+        let visits = ref [] and tally = { Route.wasted = 0; backtracks = 0 } in
+        let outcome =
+          Route.greedy ~failures ~strategy ~max_hops ~rng:(Rng.of_int (seed + src)) ~dead ~tally
+            ~on_hop:(fun v -> visits := v :: !visits)
+            csr distance ~src ~dst
+        in
+        let key =
+          match outcome with
+          | Route.Delivered { hops } -> (hops, -1, "delivered")
+          | Route.Failed { hops; stuck_at; reason } -> (hops, stuck_at, Route.reason_label reason)
+        in
+        (key, !visits, tally.Route.wasted, tally.Route.backtracks)
+      in
+      List.for_all
+        (fun _ ->
+          let src = Rng.int r n and dst = Rng.int r n in
+          let budget = 1 + Rng.int r 8 in
+          List.for_all
+            (fun strategy ->
+              List.for_all
+                (fun dead ->
+                  List.for_all
+                    (fun max_hops ->
+                      run ~strategy ~dead ~max_hops ~src ~dst Route.Index_line
+                      = run ~strategy ~dead ~max_hops ~src ~dst (Route.Sorted_line positions))
+                    [ 1_000_000; budget ])
+                [ Route.Skip; Route.Charge; Route.Halt ])
+            strategies)
+        [ 1; 2; 3; 4 ])
+
+(* [network_distance] picks the index line only where index and position
+   coincide: a full two-sided line. *)
+let network_distance_by_geometry () =
+  let kind = function
+    | Route.Index_line -> "index_line"
+    | Route.Sorted_line _ -> "sorted_line"
+    | Route.Metric _ -> "metric"
+  in
+  let full = build 1 in
+  let sparse = Network.build_binomial ~n:2048 ~links:4 ~present_p:0.4 (Rng.of_int 100) in
+  let ring = Network.build_ring ~n:512 ~links:4 (Rng.of_int 3) in
+  Alcotest.(check bool) "binomial line is sparse" false (Network.is_full sparse);
+  Alcotest.(check string) "full line" "index_line" (kind (Route.network_distance full));
+  Alcotest.(check string) "sparse line" "sorted_line" (kind (Route.network_distance sparse));
+  Alcotest.(check string) "circle" "metric" (kind (Route.network_distance ring));
+  Alcotest.(check string) "one-sided full line" "metric"
+    (kind (Route.network_distance ~side:Route.One_sided full))
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "route"
@@ -904,6 +985,7 @@ let () =
           quick "hops bounded by index span" sparse_network_distance_uses_positions;
           quick "one-sided respects positions" sparse_one_sided_respects_positions;
           quick "survives failures" sparse_network_with_failures;
+          quick "network distance by geometry" network_distance_by_geometry;
         ] );
       ("reroute", [ quick "more attempts no worse" reroute_more_attempts_no_worse ]);
       ( "circle",
@@ -950,5 +1032,6 @@ let () =
             prop_backtrack_never_worse_than_terminate;
             prop_byzantine_retry_dominates_naive;
             prop_loop_erased_bounded;
+            prop_index_line_matches_sorted_line;
           ] );
     ]
