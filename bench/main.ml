@@ -66,6 +66,45 @@ let section title =
 
 let subsection title = Printf.printf "\n--- %s ---\n%!" title
 
+(* The host a BENCH file was measured on, so that numbers from different
+   machines are never compared silently: domains, OCaml, word size and
+   the L2 size sysfs reports for CPU 0 (0 when it reports none). *)
+let host_json () =
+  let read_first path =
+    match open_in path with
+    | exception Sys_error _ -> ""
+    | ic ->
+        Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+        (match input_line ic with l -> String.trim l | exception End_of_file -> "")
+  in
+  let size_bytes s =
+    let n = String.length s in
+    if n = 0 then 0
+    else
+      match s.[n - 1] with
+      | 'K' -> 1024 * int_of_string (String.sub s 0 (n - 1))
+      | 'M' -> 1024 * 1024 * int_of_string (String.sub s 0 (n - 1))
+      | _ -> Option.value (int_of_string_opt s) ~default:0
+  in
+  let rec l2 i =
+    let dir = Printf.sprintf "/sys/devices/system/cpu/cpu0/cache/index%d/" i in
+    if i > 7 then 0
+    else if
+      String.equal (read_first (dir ^ "level")) "2"
+      && not (String.equal (read_first (dir ^ "type")) "Instruction")
+    then
+      size_bytes (read_first (dir ^ "size"))
+    else l2 (i + 1)
+  in
+  let open Ftr_obs.Json in
+  Obj
+    [
+      ("recommended_domains", Int (Domain.recommended_domain_count ()));
+      ("ocaml_version", String Sys.ocaml_version);
+      ("word_size", Int Sys.word_size);
+      ("l2_bytes", Int (l2 0));
+    ]
+
 (* The correctness bits the sections compute — outcome identity against
    the reference router, jobs invariance, cache contracts. A section
    records each one that fails and carries on, so every report still gets
@@ -1331,6 +1370,7 @@ let run_route_throughput () =
         ("messages", Int messages);
         ("full_scale", Bool full);
         ("smoke", Bool smoke);
+        ("host", host_json ());
         ( "sections",
           List
             (List.rev_map
@@ -1360,10 +1400,12 @@ let run_route_throughput () =
 (* The gate for the int32/Bigarray core: per network size, streaming
    construction throughput, bytes/node against the 8-byte int-array
    baseline the refactor replaced, batch route throughput on the exec
-   pool, jobs-invariance of the merged outcome vector (--jobs 1/2/4 and
-   FTR_EXEC_SEQ=1 must agree byte for byte), and snapshot save + mmap
-   load round-trip timing. One JSON row per size lands in
-   BENCH_scale.json (docs/MEMORY_LAYOUT.md). *)
+   pool against the same pairs routed one at a time (median of three
+   runs each; the healthy batch outcomes must equal Route.route's at
+   jobs=1 and at the default jobs), jobs-invariance of the merged
+   outcome vector (--jobs 1/2/4 and FTR_EXEC_SEQ=1 must agree byte for
+   byte), and snapshot save + mmap load round-trip timing. One JSON row
+   per size lands in BENCH_scale.json (docs/MEMORY_LAYOUT.md). *)
 let run_scale () =
   let module Route_batch = Ftr_core.Route_batch in
   let module Snapshot = Ftr_core.Snapshot in
@@ -1375,6 +1417,7 @@ let run_scale () =
   in
   let links = 8 in
   let messages = if smoke then 4_000 else 20_000 in
+  let repeats = 3 in
   section
     (Printf.sprintf
        "SCALE — int32 CSR core: streaming build, footprint, batch routing\n\
@@ -1411,18 +1454,37 @@ let run_scale () =
       let pairs =
         Array.init messages (fun _ -> (Rng.int pair_rng n, Rng.int pair_rng n))
       in
-      let time_batch ~jobs =
-        let t0 = Unix.gettimeofday () in
-        let outcomes = Route_batch.run ~jobs net ~pairs in
-        let dt = Unix.gettimeofday () -. t0 in
+      (* Hops/s of the median of [repeats] runs, and the outcomes. *)
+      let time_routes route =
+        let runs =
+          Array.init repeats (fun _ ->
+              let t0 = Unix.gettimeofday () in
+              let outcomes = route () in
+              (Unix.gettimeofday () -. t0, outcomes))
+        in
+        Array.sort (fun (a, _) (b, _) -> Float.compare a b) runs;
+        let dt, outcomes = runs.(repeats / 2) in
         let hops = Array.fold_left (fun acc o -> acc + Route.hops o) 0 outcomes in
         (float_of_int hops /. dt, outcomes)
       in
-      let hps1, _ = time_batch ~jobs:1 in
       let jobs = Ftr_exec.Pool.default_jobs () in
-      let hps, _ = time_batch ~jobs in
+      (* The same pairs one at a time: the oracle for both batch runs, and
+         the denominator of the grouped scan's gain. *)
+      let scratch = Route.scratch net in
+      let single_hps, single =
+        time_routes (fun () -> Array.map (fun (src, dst) -> Route.route ~scratch net ~src ~dst) pairs)
+      in
+      let hps1, batch1 = time_routes (fun () -> Route_batch.run ~jobs:1 net ~pairs) in
+      let hps, batch = time_routes (fun () -> Route_batch.run ~jobs net ~pairs) in
+      let batch_over_single = hps1 /. single_hps in
       Printf.printf "batch route: %12.0f hops/s (jobs=1)  %12.0f hops/s (jobs=%d)\n" hps1
         hps jobs;
+      Printf.printf "one at a time: %10.0f hops/s; batch/single %.2fx (jobs=1)\n" single_hps
+        batch_over_single;
+      let batch_matches = batch1 = single && batch = single in
+      Printf.printf "batch outcomes equal Route.route at jobs 1 and %d: %b\n" jobs batch_matches;
+      gate batch_matches
+        (Printf.sprintf "scale n=%d: healthy batch outcomes differ from Route.route" n);
       let mask =
         Ftr_core.Failure.random_node_fraction (Rng.split rng) ~n ~fraction:0.3
       in
@@ -1467,8 +1529,9 @@ let run_scale () =
       Printf.printf "snapshot: %d bytes, save %.3f s, mmap load %.3f s\n%!" snap_bytes
         save_dt load_dt;
       json_rows :=
-        ( n, edges, build_dt, per_node bytes_int32, per_node bytes_int_array, ratio, hps1,
-          hps, jobs, !identical, snap_bytes, save_dt, load_dt )
+        ( n, edges, build_dt, per_node bytes_int32, per_node bytes_int_array, ratio,
+          (single_hps, hps1, hps, batch_over_single), jobs, !identical, snap_bytes, save_dt,
+          load_dt )
         :: !json_rows)
     sizes;
   let open Ftr_obs.Json in
@@ -1477,13 +1540,16 @@ let run_scale () =
       [
         ("links", Int links);
         ("messages", Int messages);
+        ("repeats", Int repeats);
         ("full_scale", Bool full);
         ("smoke", Bool smoke);
+        ("host", host_json ());
         ( "sizes",
           List
             (List.rev_map
-               (fun ( n, edges, build_dt, bpn, bpn_base, ratio, hps1, hps, jobs, identical,
-                      snap_bytes, save_dt, load_dt ) ->
+               (fun ( n, edges, build_dt, bpn, bpn_base, ratio,
+                      (single_hps, hps1, hps, batch_over_single), jobs, identical, snap_bytes,
+                      save_dt, load_dt ) ->
                  Obj
                    [
                      ("n", Int n);
@@ -1493,7 +1559,9 @@ let run_scale () =
                      ("bytes_per_node_int32", Float bpn);
                      ("bytes_per_node_int_array", Float bpn_base);
                      ("footprint_ratio", Float ratio);
+                     ("single_hops_per_second", Float single_hps);
                      ("batch_hops_per_second_jobs1", Float hps1);
+                     ("batch_over_single", Float batch_over_single);
                      ("batch_hops_per_second", Float hps);
                      ("jobs", Int jobs);
                      ("outcomes_identical_across_jobs", Bool identical);

@@ -143,11 +143,124 @@ let debug_check_strict_hop distance ~cur ~v ~dst =
 
 type on_dead = Skip | Charge | Halt
 
+(* The hop budget when the caller sets none. *)
+let default_max_hops = 1_000_000
+
+(* Which candidate links a route may take, resolved once per route: the
+   failure view's fast-path forms (a node bitset, or static "all alive"
+   flags) with the general closures as the fallback, and the route's
+   tried-link stamps ([tried_epoch] 0 when the strategy records none). *)
+type view = {
+  failures : Failure.t;
+  node_bits : Bitset.t option;
+  node_all : bool;
+  link_all : bool;
+  tried : int array;
+  tried_epoch : int;
+}
+
+let view_of failures ~stamps ~epoch =
+  {
+    failures;
+    node_bits = Failure.node_alive_bits failures;
+    node_all = Failure.node_all_alive failures;
+    link_all = Failure.link_all_alive failures;
+    tried = stamps;
+    tried_epoch = epoch;
+  }
+
+(* Unsafe reads here and in the scans below are justified by
+   construction-time CSR validation ([Adjacency.Csr.validate], re-checked
+   by the Check battery): every target is a node index in [0, n), every
+   slot is below [offsets.(n)], [stamps] is kept at least that long, a
+   node bitset covers every node and a line's positions were checked to
+   cover every node. The I32 reads are allocation-free: the
+   [Int32.to_int] in the accessor cancels the Bigarray box (see
+   Adjacency.I32). *)
+let[@inline] view_node_live vw v =
+  match vw.node_bits with
+  | Some b -> Bitset.unsafe_get b v
+  | None -> vw.node_all || Failure.node_alive vw.failures v
+
+let[@inline] view_link_live vw ~cur ~k =
+  vw.link_all || Failure.link_alive vw.failures ~src:cur ~idx:k
+
+let[@inline] view_untried vw ~base ~k =
+  vw.tried_epoch = 0 || Array.unsafe_get vw.tried (base + k) <> vw.tried_epoch
+
+(* Whether link [k] of [cur] (row slot [base + k]) to [v] may be taken:
+   the link and its target are alive and this route has not tried it. *)
+let[@inline] view_usable vw ~cur ~base ~k v =
+  view_link_live vw ~cur ~k && view_node_live vw v && view_untried vw ~base ~k
+
+(* The line scan, the one bisect and bracket walk behind {!greedy}'s line
+   distances and {!route_pairs}. The row of [cur], slots
+   [base, base + deg), is sorted by position, so the usable neighbour
+   closest to [dst_pos] is found by bisecting the row to the two entries
+   bracketing [dst_pos] and walking the brackets outward in
+   increasing-distance order, stopping at the first usable candidate
+   closer than [limit]. This equals a full scan keeping the
+   minimum-distance usable candidate with ties to the earliest row entry:
+   the earliest entry is the smaller position, which is the left bracket
+   this walk prefers on ties ([dl <= dr]). The walk meets the unusable
+   candidates ahead of the pick in rank order and, when there is a
+   [reject], hands each to [reject ~cur ~base ~k v d], whose [true] ends
+   the scan with no pick; with none, it passes them by.
+   (When duplicate row entries name one node, the two orders can record
+   a different *slot* in the stamps, but the slots alias the same node
+   with the same remaining multiplicity, so the visited-node sequence —
+   and the outcome — is unchanged.) On an {!Index_line} every position is
+   the row entry itself, so the scan reads the row and nothing else.
+   Returns the pick's index in the row, or -1. *)
+let[@inline] line_pick ~dense positions targets vw ~cur ~base ~deg ~dst_pos ~limit ~reject =
+  let lo = ref 0 and hi = ref deg in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if line_pos ~dense positions (I32.unsafe_get targets (base + mid)) >= dst_pos then hi := mid
+    else lo := mid + 1
+  done;
+  let l = ref (!lo - 1) and r = ref !lo in
+  let pick = ref (-1) and scanning = ref true in
+  while !scanning do
+    let dl =
+      if !l >= 0 then dst_pos - line_pos ~dense positions (I32.unsafe_get targets (base + !l))
+      else max_int
+    and dr =
+      if !r < deg then line_pos ~dense positions (I32.unsafe_get targets (base + !r)) - dst_pos
+      else max_int
+    in
+    let take_left = dl <= dr in
+    let d = if take_left then dl else dr in
+    if d >= limit then scanning := false (* exhausted or no closer candidate left *)
+    else begin
+      let k = if take_left then !l else !r in
+      let v = I32.unsafe_get targets (base + k) in
+      if view_usable vw ~cur ~base ~k v then begin
+        pick := k;
+        scanning := false
+      end
+      else if
+        match reject with Some reject -> reject ~cur ~base ~k v d | None -> false
+      then scanning := false
+      else if take_left then decr l
+      else incr r
+    end
+  done;
+  !pick
+
+(* The outcome of a greedy leg from the Terminate loop: delivered at the
+   target, else stuck by the hop budget or for want of a closer live
+   neighbour. *)
+let leg_outcome ~terminus ~dst ~hops ~out_of_budget =
+  if terminus = dst then Delivered { hops }
+  else if out_of_budget then Failed { hops; stuck_at = terminus; reason = Hop_limit }
+  else Failed { hops; stuck_at = terminus; reason = No_live_neighbor }
+
 type tally = { mutable wasted : int; mutable backtracks : int }
 
 (* The greedy kernel (see the interface). It emits no metrics or events:
    [tr] is its only telemetry seam. *)
-let greedy ?(failures = Failure.none) ?(strategy = Terminate) ?(max_hops = 1_000_000) ?rng
+let greedy ?(failures = Failure.none) ?(strategy = Terminate) ?(max_hops = default_max_hops) ?rng
     ?scratch:scr ?(on_hop = fun _ -> ()) ?(dead = Skip) ?tr ?tally csr
     distance ~src ~dst =
   let { Csr.offsets; targets } = csr in
@@ -198,22 +311,8 @@ let greedy ?(failures = Failure.none) ?(strategy = Terminate) ?(max_hops = 1_000
      concrete bitset when the view has one, link liveness skipped entirely
      when everything is statically alive. The general closure forms remain
      the fallback. *)
-  let node_bits = Failure.node_alive_bits failures in
-  let node_all = Failure.node_all_alive failures in
-  let link_all = Failure.link_all_alive failures in
+  let vw = view_of failures ~stamps ~epoch in
   let charging = match dead with Skip -> false | Charge | Halt -> true in
-  (* Unsafe I32/array reads below are justified by construction-time CSR
-     validation ([Adjacency.Csr.validate], re-checked by the Check
-     battery): every target is a node index in [0, n), every slot is below
-     [offsets.(n)], [stamps] is kept at least that long, and the line's
-     positions were checked to cover every node above. The I32 reads are
-     allocation-free: the [Int32.to_int] in the accessor cancels the
-     Bigarray box (see Adjacency.I32). *)
-  let node_live v =
-    match node_bits with
-    | Some b -> Bitset.unsafe_get b v
-    | None -> node_all || Failure.node_alive failures v
-  in
   (* Winning candidate of the last successful [best_neighbor] scan, and the
      dead candidates it charged; mutable result slots instead of an
      allocated [Some (idx, v)] pair per hop. *)
@@ -223,10 +322,7 @@ let greedy ?(failures = Failure.none) ?(strategy = Terminate) ?(max_hops = 1_000
      whether the scan must stop — on {!Halt}, or when the charges have
      used up the [room] left in the hop budget. *)
   let charge ~cur ~base ~k ~v ~room =
-    if
-      (link_all || Failure.link_alive failures ~src:cur ~idx:k)
-      && (not (node_live v))
-      && (epoch = 0 || Array.unsafe_get stamps (base + k) <> epoch)
+    if view_link_live vw ~cur ~k && (not (view_node_live vw v)) && view_untried vw ~base ~k
     then begin
       incr charged;
       incr wasted;
@@ -246,15 +342,26 @@ let greedy ?(failures = Failure.none) ?(strategy = Terminate) ?(max_hops = 1_000
     if tracing then begin
       let base = I32.unsafe_get offsets cur in
       let verdict =
-        if not (link_all || Failure.link_alive failures ~src:cur ~idx:k) then
-          Ftr_obs.Tracing.Dead_link
-        else if not (node_live v) then Ftr_obs.Tracing.Dead_node
-        else if epoch <> 0 && Array.unsafe_get stamps (base + k) = epoch then
-          Ftr_obs.Tracing.Already_tried
+        if not (view_link_live vw ~cur ~k) then Ftr_obs.Tracing.Dead_link
+        else if not (view_node_live vw v) then Ftr_obs.Tracing.Dead_node
+        else if not (view_untried vw ~base ~k) then Ftr_obs.Tracing.Already_tried
         else Ftr_obs.Tracing.Not_closer
       in
       candidate ~cur ~cand:v ~dist verdict
     end
+  in
+  (* The line scan's handling of a candidate it cannot take, when there is
+     anything to do: name it to the flight recorder, then charge it under
+     {!Charge}/{!Halt} against the room [best_neighbor] left in
+     [scan_room]. Built once per route, so a hop allocates nothing. *)
+  let scan_room = ref 0 in
+  let reject_line =
+    if tracing || charging then
+      Some
+        (fun ~cur ~base ~k v d ->
+          if tracing then record_excluded ~cur ~k ~v ~dist:d;
+          charging && charge ~cur ~base ~k ~v ~room:!scan_room)
+    else None
   in
   (* Best live untried neighbour of [cur], subject to the one-sided
      no-overshoot rule when the metric has one. In [`Strict] mode only
@@ -275,77 +382,19 @@ let greedy ?(failures = Failure.none) ?(strategy = Terminate) ?(max_hops = 1_000
     let best = ref (-1) and best_idx = ref (-1) and best_dist = ref limit in
     (match distance with
     | Sorted_line _ | Index_line ->
-      (* Line fast path, exploiting the per-row sorted invariant: the live
-         neighbour closest to [dst] is found by bisecting the row to the
-         two entries bracketing [dst_pos] and walking the brackets outward
-         in increasing-distance order, stopping at the first live
-         candidate. Equivalent to the full scan below: that scan keeps the
-         minimum-distance live candidate, ties to the earliest row entry —
-         i.e. the smaller position, which is exactly the left bracket this
-         merge prefers on ties ([dl <= dr]). The walk meets the dead
-         candidates ahead of the pick in rank order, so it charges them as
-         it goes. (When duplicate row entries name one node, the two orders
-         can record a different *slot* in [stamps], but the slots alias
-         the same node with the same remaining multiplicity, so the
-         visited-node sequence — and the outcome — is unchanged.) On an
-         {!Index_line} every position is the row entry itself, so the scan
-         reads the row and nothing else. *)
-      let dst_pos = line_pos ~dense positions dst in
-      let lo = ref 0 and hi = ref deg in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if line_pos ~dense positions (I32.unsafe_get targets (base + mid)) >= dst_pos then
-          hi := mid
-        else lo := mid + 1
-      done;
-      let l = ref (!lo - 1) and r = ref !lo in
-      let scanning = ref true in
-      while !scanning do
-        let dl =
-          if !l >= 0 then dst_pos - line_pos ~dense positions (I32.unsafe_get targets (base + !l))
-          else max_int
-        and dr =
-          if !r < deg then line_pos ~dense positions (I32.unsafe_get targets (base + !r)) - dst_pos
-          else max_int
+        scan_room := room;
+        let k =
+          line_pick ~dense positions targets vw ~cur ~base ~deg
+            ~dst_pos:(line_pos ~dense positions dst) ~limit ~reject:reject_line
         in
-        let take_left = dl <= dr in
-        let d = if take_left then dl else dr in
-        if d >= limit then scanning := false (* exhausted or no closer candidate left *)
-        else begin
-          let k = if take_left then !l else !r in
-          let v = I32.unsafe_get targets (base + k) in
-          let live =
-            (link_all || Failure.link_alive failures ~src:cur ~idx:k)
-            && (match node_bits with
-               | Some b -> Bitset.unsafe_get b v
-               | None -> node_all || Failure.node_alive failures v)
-            && (epoch = 0 || Array.unsafe_get stamps (base + k) <> epoch)
-          in
-          if live then begin
-            best := v;
-            best_idx := k;
-            best_dist := d;
-            scanning := false
-          end
-          else begin
-            if tracing then record_excluded ~cur ~k ~v ~dist:d;
-            if charging && charge ~cur ~base ~k ~v ~room then scanning := false
-            else if take_left then decr l
-            else incr r
-          end
+        if k >= 0 then begin
+          best := I32.unsafe_get targets (base + k);
+          best_idx := k
         end
-      done
     | Metric { dist; _ } ->
       for k = 0 to deg - 1 do
         let v = I32.unsafe_get targets (base + k) in
-        let live =
-          (link_all || Failure.link_alive failures ~src:cur ~idx:k)
-          && (match node_bits with
-             | Some b -> Bitset.unsafe_get b v
-             | None -> node_all || Failure.node_alive failures v)
-          && (epoch = 0 || Array.unsafe_get stamps (base + k) <> epoch)
-        in
-        if live then begin
+        if view_usable vw ~cur ~base ~k v then begin
           let v_dist = dist v dst in
           let admissible = v_dist < !best_dist && admits distance ~cur v ~dst in
           if admissible then begin
@@ -437,10 +486,8 @@ let greedy ?(failures = Failure.none) ?(strategy = Terminate) ?(max_hops = 1_000
   Fun.protect ~finally:(fun () -> restore_scratch borrowed) @@ fun () ->
   match strategy with
   | Terminate ->
-      let terminus, h, out_of_budget = greedy_leg ~start:src ~target:dst ~hops:0 in
-      if terminus = dst then Delivered { hops = h }
-      else if out_of_budget then Failed { hops = h; stuck_at = terminus; reason = Hop_limit }
-      else Failed { hops = h; stuck_at = terminus; reason = No_live_neighbor }
+      let terminus, hops, out_of_budget = greedy_leg ~start:src ~target:dst ~hops:0 in
+      leg_outcome ~terminus ~dst ~hops ~out_of_budget
   | Random_reroute { attempts } ->
       let rec go cur h attempts_left =
         let terminus, h, out_of_budget = greedy_leg ~start:cur ~target:dst ~hops:h in
@@ -549,12 +596,16 @@ let network_distance ?(side = Two_sided) net =
           admissible = Some (fun ~cur v ~dst -> Network.one_sided_admissible net ~cur ~v ~dst);
         }
 
-let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
-    ?(max_hops = 1_000_000) ?rng ?scratch ?(on_hop = fun _ -> ()) net ~src ~dst =
-  let n = Network.size net in
+(* The endpoint contract of {!route}, and of {!route_pairs} with the same
+   messages: both in range, then the destination alive, then the source. *)
+let check_endpoints failures ~n ~src ~dst =
   if src < 0 || src >= n || dst < 0 || dst >= n then invalid_arg "Route.route: node out of range";
   if not (Failure.node_alive failures dst) then invalid_arg "Route.route: destination is dead";
-  if not (Failure.node_alive failures src) then invalid_arg "Route.route: source is dead";
+  if not (Failure.node_alive failures src) then invalid_arg "Route.route: source is dead"
+
+let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
+    ?(max_hops = default_max_hops) ?rng ?scratch ?(on_hop = fun _ -> ()) net ~src ~dst =
+  check_endpoints failures ~n:(Network.size net) ~src ~dst;
   (* Telemetry: one bool load here is the whole cost when FTR_OBS is off —
      the unwrapped [on_hop] is passed through untouched and no metric or
      event code runs. When on, every hop feeds the (sampled) JSONL stream
@@ -616,6 +667,128 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
       ]
   end;
   outcome
+
+(* Routes in flight at once in [route_group]: eight independent row
+   loads overlap their cache misses, and eight rows stay in L1. *)
+let group_width = 8
+
+(* Terminate routes for [pairs] over a line, [group_width] at a time
+   (see {!route_pairs}). Each round has three stages. Stage 1 loads the
+   row bounds of every slot's current node, and stage 2 one entry inside
+   every non-empty row, the one the bisect reads first; the loads of a
+   stage are independent of each other, so their cache misses overlap
+   instead of queueing behind one route's chain of dependent reads.
+   Stage 3 then takes one hop per slot through [line_pick], over rows
+   already on their way into cache. A slot whose route ends writes its
+   outcome at the pair's index and takes the next pair; with none left,
+   the last slot moves into its place. Stage 3 walks the slots downward,
+   so the moved slot has already taken this round's hop. *)
+let route_group csr distance vw ~n pairs =
+  let len = Array.length pairs in
+  let { Csr.offsets; targets } = csr in
+  let dense = is_dense distance and positions = line_positions distance in
+  let out = Array.make len (Delivered { hops = 0 }) in
+  let pair = Array.make group_width 0
+  and cur = Array.make group_width 0
+  and dst = Array.make group_width 0
+  and dst_pos = Array.make group_width 0
+  and hops = Array.make group_width 0
+  and base = Array.make group_width 0
+  and deg = Array.make group_width 0 in
+  let next = ref 0 and active = ref 0 in
+  let finish s ~terminus ~out_of_budget =
+    out.(pair.(s)) <- leg_outcome ~terminus ~dst:dst.(s) ~hops:hops.(s) ~out_of_budget
+  in
+  (* Load slot [s] with the next pair that needs a hop, delivering
+     [src = dst] pairs on the way, in pair order so that a bad endpoint
+     raises where {!route} would. Whether a pair was left. *)
+  let rec fill s =
+    if !next >= len then false
+    else begin
+      let i = !next in
+      incr next;
+      let src, t = pairs.(i) in
+      check_endpoints vw.failures ~n ~src ~dst:t;
+      if src = t then begin
+        out.(i) <- leg_outcome ~terminus:src ~dst:t ~hops:0 ~out_of_budget:false;
+        fill s
+      end
+      else begin
+        pair.(s) <- i;
+        cur.(s) <- src;
+        dst.(s) <- t;
+        dst_pos.(s) <- line_pos ~dense positions t;
+        hops.(s) <- 0;
+        true
+      end
+    end
+  in
+  while !active < group_width && fill !active do
+    incr active
+  done;
+  while !active > 0 do
+    (* Stage 1: row bounds. *)
+    for s = 0 to !active - 1 do
+      let b = I32.unsafe_get offsets cur.(s) in
+      base.(s) <- b;
+      deg.(s) <- I32.unsafe_get offsets (cur.(s) + 1) - b
+    done;
+    (* Stage 2: one row entry, inside [base, base + deg) and only for a
+       non-empty row; a fixed offset would read past [targets] on the
+       last row. *)
+    for s = 0 to !active - 1 do
+      if deg.(s) > 0 then
+        ignore (Sys.opaque_identity (I32.unsafe_get targets (base.(s) + (deg.(s) / 2))))
+    done;
+    (* Stage 3: one hop per slot. *)
+    for s = !active - 1 downto 0 do
+      let c = cur.(s) and t = dst.(s) and t_pos = dst_pos.(s) and b = base.(s) in
+      let gap = line_pos ~dense positions c - t_pos in
+      let k =
+        line_pick ~dense positions targets vw ~cur:c ~base:b ~deg:deg.(s) ~dst_pos:t_pos
+          ~limit:(if gap < 0 then -gap else gap) ~reject:None
+      in
+      let ended =
+        if k < 0 then begin
+          finish s ~terminus:c ~out_of_budget:false;
+          true
+        end
+        else begin
+          let v = I32.unsafe_get targets (b + k) in
+          debug_check_strict_hop distance ~cur:c ~v ~dst:t;
+          cur.(s) <- v;
+          hops.(s) <- hops.(s) + 1;
+          let ended = v = t || hops.(s) >= default_max_hops in
+          if ended then finish s ~terminus:v ~out_of_budget:(v <> t);
+          ended
+        end
+      in
+      if ended && not (fill s) then begin
+        decr active;
+        let last = !active in
+        pair.(s) <- pair.(last);
+        cur.(s) <- cur.(last);
+        dst.(s) <- dst.(last);
+        dst_pos.(s) <- dst_pos.(last);
+        hops.(s) <- hops.(last)
+      end
+    done
+  done;
+  out
+
+let route_pairs ?(failures = Failure.none) ?(side = Two_sided) net pairs =
+  let n = Network.size net in
+  let distance = network_distance ~side net in
+  let vw = view_of failures ~stamps:[||] ~epoch:0 in
+  let grouped =
+    (match distance with Sorted_line _ | Index_line -> true | Metric _ -> false)
+    && vw.link_all
+    && (match vw.node_bits with Some b -> Bitset.size b >= n | None -> vw.node_all)
+    (* Trace ids, route.hop events and metrics follow route order. *)
+    && not (Ftr_obs.Flag.enabled ())
+  in
+  if grouped then route_group (Network.csr net) distance vw ~n pairs
+  else Array.map (fun (src, dst) -> route ~failures ~side net ~src ~dst) pairs
 
 (* Length of the walk after erasing every excursion: each revisit of a node
    truncates the walk back to its first visit. For a backtracking search

@@ -84,6 +84,24 @@ val route :
     (outcomes are identical with or without it).
     @raise Invalid_argument if an endpoint is out of range or dead. *)
 
+val route_pairs :
+  ?failures:Failure.t ->
+  ?side:side ->
+  Network.t ->
+  (int * int) array ->
+  outcome array
+(** [route_pairs net pairs] routes every [(src, dst)] pair with
+    {!Terminate} and the default hop budget, and returns exactly the
+    outcomes {!route} gives each pair, in pair order. On a
+    two-sided line with every link alive and the nodes all alive or
+    failed through a bitset covering every node, it routes eight pairs
+    at a time, loading their rows together so that their cache misses
+    overlap (docs/MEMORY_LAYOUT.md, "Memory touched per hop"). Any other
+    network or failure view, and any call with telemetry on
+    ({!Ftr_obs.Flag.enabled}), routes one pair at a time through {!route}.
+    @raise Invalid_argument with {!route}'s message for the first pair in
+    order whose endpoint is out of range or dead. *)
+
 (** {1 The greedy kernel}
 
     The one candidate scan and Section 6 strategy loop behind {!route},

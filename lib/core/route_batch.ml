@@ -9,9 +9,19 @@ module Seed = Ftr_exec.Seed
    is therefore byte-identical across --jobs 1/2/4 and FTR_EXEC_SEQ=1
    (qcheck-pinned, and re-asserted by bench.scale on every @perf run).
 
-   Scratch is per domain, not per route: [Route.route] with no explicit
-   scratch borrows the Domain.DLS-cached one, so a chunk of backtracking
-   routes costs one scratch per worker domain, amortized to nothing. *)
+   A chunk of Terminate routes with the default budget goes to
+   [Route.route_pairs]. On a line it keeps eight of the chunk's routes in
+   flight and loads each one's row bounds and one row entry before any
+   of them hops, so the cache misses of eight routes overlap instead of
+   queueing behind each other (docs/MEMORY_LAYOUT.md, "Memory touched
+   per hop"). Its state is a handful of eight-slot arrays per chunk, and
+   its outcomes equal [Route.route]'s pair by pair (qcheck-pinned).
+
+   Every other chunk routes one pair at a time through [Route.route].
+   Its scratch is per domain, not per route: [Route.route] with no
+   explicit scratch borrows the Domain.DLS-cached one, so a chunk of
+   backtracking routes costs one scratch per worker domain, amortized to
+   nothing. *)
 
 let default_chunk = 1024
 
@@ -28,6 +38,13 @@ let run ?jobs ?(chunk = default_chunk) ?failures ?side ?strategy ?max_hops ?(see
       | Some (Route.Random_reroute _) -> true
       | Some (Route.Terminate | Route.Backtrack _) | None -> false
     in
+    (* [Route.route_pairs] routes one pair at a time itself where it
+       cannot group. *)
+    let grouped =
+      match strategy with
+      | None | Some Route.Terminate -> Option.is_none max_hops
+      | Some (Route.Random_reroute _ | Route.Backtrack _) -> false
+    in
     let chunks = (count + chunk - 1) / chunk in
     let route_one i =
       let src, dst = pairs.(i) in
@@ -38,7 +55,8 @@ let run ?jobs ?(chunk = default_chunk) ?failures ?side ?strategy ?max_hops ?(see
       Pool.map ?jobs ~count:chunks (fun c ->
           let lo = c * chunk in
           let len = min chunk (count - lo) in
-          Array.init len (fun k -> route_one (lo + k)))
+          if grouped then Route.route_pairs ?failures ?side net (Array.sub pairs lo len)
+          else Array.init len (fun k -> route_one (lo + k)))
     in
     Array.concat (Array.to_list per_chunk)
   end

@@ -7,7 +7,14 @@
     in request order. The merged outcome vector is byte-identical across
     [--jobs 1/2/4] and [FTR_EXEC_SEQ=1]: per-route generators are derived
     from [(seed, route index)] with {!Ftr_exec.Seed.rng_for}, so no route
-    observes another's randomness regardless of scheduling. *)
+    observes another's randomness regardless of scheduling.
+
+    A chunk of {!Route.Terminate} routes with the default hop budget goes
+    through {!Route.route_pairs}, which on a line steps eight routes
+    together and loads their rows before any of them hops, so that their
+    cache misses overlap. Its outcomes equal {!Route.route}'s pair by
+    pair; any other strategy, or a [max_hops], routes one pair at a time
+    through {!Route.route}. *)
 
 val default_chunk : int
 (** Routes per pool job when [?chunk] is omitted (1024). *)

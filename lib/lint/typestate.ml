@@ -69,9 +69,9 @@ let protocols =
         [
           [ "Route"; "route" ];
           [ "Route"; "greedy" ];
+          [ "Route"; "route_pairs" ];
           [ "Byzantine"; "route" ];
           [ "Route_batch"; "run" ];
-          [ "Route_batch"; "run_indices" ];
         ];
       p_leak_msg = "";
       p_use_msg =

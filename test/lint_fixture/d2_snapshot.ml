@@ -2,8 +2,9 @@
    pattern, so local stand-ins for Snapshot/Check/Route exercise the
    automaton without touching the real modules: a network loaded with
    ~validate:false must flow through a validator before it reaches a
-   routing sink. The greedy kernel, and the Byzantine router that routes
-   through it, read the same unchecked vectors: both are sinks too. *)
+   routing sink. The greedy kernel, the Byzantine router that routes
+   through it and the batch router read the same unchecked vectors: all
+   are sinks too. *)
 
 module Snapshot = struct
   let load ~validate path = ignore validate; String.length path
@@ -24,6 +25,10 @@ end
 
 module Byzantine = struct
   let route net = net - 1
+end
+
+module Route_batch = struct
+  let run net = net + 2
 end
 
 (* Positive: unvalidated load flows straight into routing. *)
@@ -51,6 +56,12 @@ let bad_kernel path =
 let bad_byzantine path =
   let net = Snapshot.load ~validate:false path in
   Byzantine.route net
+
+(* Positive: an unchecked network handed to the batch router, whose
+   grouped scan reads the rows unchecked. *)
+let bad_batch path =
+  let net = Snapshot.load ~validate:false path in
+  Route_batch.run net
 
 (* Negative: structurally validated before either sink. *)
 let good_kernel path =

@@ -239,6 +239,129 @@ let prop_batch_jobs_invariant =
       List.for_all (fun jobs -> batch ~jobs = reference) [ 1; 2; 4 ]
       && with_seq_forced true (fun () -> batch ~jobs:4 = reference))
 
+(* Grouped Terminate routing (Route.route_pairs, under Route_batch) must
+   give every pair exactly the outcome Route.route gives it, on full lines
+   (Index_line) and sparse ones (Sorted_line), healthy or with crashed
+   nodes; with max_hops set the batch routes one pair at a time. Chunks of
+   1, 7 and 16 and pair counts off a multiple of eight leave the groups
+   partly empty and refilled mid-chunk; every fifth pair is src = dst. *)
+let prop_batch_equals_route =
+  QCheck.Test.make ~name:"Route_batch Terminate equals Route.route pair by pair" ~count:100
+    QCheck.(
+      pair
+        (quad (int_range 2 160) (int_range 0 5) small_int (int_range 0 3))
+        (triple (int_range 0 8) (int_range 0 2) (int_range 0 45)))
+    (fun ((n, links, seed, shape), (budget, chunk_pick, count)) ->
+      let module Route_batch = Ftr_core.Route_batch in
+      let rng = Rng.of_int seed in
+      let sparse = shape land 1 = 1 and failing = shape land 2 = 2 in
+      let net =
+        if sparse then Network.build_binomial ~n ~links ~present_p:0.6 rng
+        else Network.build_ideal ~n ~links rng
+      in
+      let size = Network.size net in
+      let failures, alive =
+        if failing then begin
+          let mask = Failure.random_node_fraction rng ~n:size ~fraction:0.25 in
+          (Failure.of_node_mask mask, Ftr_graph.Bitset.get mask)
+        end
+        else (Failure.none, fun _ -> true)
+      in
+      let rec live () =
+        let v = Rng.int rng size in
+        if alive v then v else live ()
+      in
+      let pairs =
+        Array.init count (fun i ->
+            let src = live () in
+            (src, if i mod 5 = 4 then src else live ()))
+      in
+      let max_hops = if budget = 0 then None else Some budget in
+      let chunk = [| 1; 7; 16 |].(chunk_pick) in
+      let reference =
+        Array.map (fun (src, dst) -> Route.route ~failures ?max_hops net ~src ~dst) pairs
+      in
+      let batch ~jobs =
+        Route_batch.run ~jobs ~chunk ~failures ~strategy:Route.Terminate ?max_hops net ~pairs
+      in
+      List.for_all (fun jobs -> batch ~jobs = reference) [ 1; 2; 4 ]
+      && with_seq_forced true (fun () -> batch ~jobs:4 = reference))
+
+(* A dead or out-of-range endpoint fails the batch with Route.route's own
+   message, for the first bad pair in order. *)
+let batch_rejects_bad_endpoints () =
+  let module Route_batch = Ftr_core.Route_batch in
+  let n = 64 in
+  let net = Network.build_ideal ~n ~links:3 (Rng.of_int 5) in
+  let mask = Ftr_graph.Bitset.create n in
+  Ftr_graph.Bitset.fill mask true;
+  Ftr_graph.Bitset.clear mask 7;
+  let failures = Failure.of_node_mask mask in
+  let message f = match f () with _ -> "no exception" | exception Invalid_argument m -> m in
+  List.iter
+    (fun (src, dst) ->
+      let expected = message (fun () -> Route.route ~failures net ~src ~dst) in
+      (* Good pairs on both sides, so the bad one sits mid-group. *)
+      let pairs = Array.init 20 (fun i -> if i = 11 then (src, dst) else (i + 10, 40 - i)) in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "(%d, %d) at jobs %d" src dst jobs)
+            expected
+            (message (fun () -> Route_batch.run ~jobs ~chunk:16 ~failures net ~pairs)))
+        [ 1; 2 ])
+    [ (-1, 3); (3, n); (7, 3); (3, 7); (n, 7) ]
+
+(* The grouped scan's loads stay inside each row and skip empty ones: on
+   networks of one, two and three nodes with no long links — rows of
+   degree 0, 1 and 2, the last row ending [targets] — every pair routes as
+   Route.route routes it. The hand-built lines add isolated nodes, a sparse
+   layout, and an empty last row. *)
+let batch_tiny_networks () =
+  let module Route_batch = Ftr_core.Route_batch in
+  let module I32 = Ftr_graph.Adjacency.I32 in
+  let line ~line_size positions rows =
+    Network.of_flat ~geometry:Network.Line ~line_size ~positions:(I32.of_int_array positions)
+      ~adj:(Csr.of_rows rows) ~links:0 ()
+  in
+  let nets =
+    [
+      ("n=1", line ~line_size:1 [| 0 |] [| [||] |]);
+      ("n=2", Network.build_ideal ~n:2 ~links:0 (Rng.of_int 1));
+      ("n=3", Network.build_ideal ~n:3 ~links:0 (Rng.of_int 1));
+      ("isolated", line ~line_size:3 [| 0; 1; 2 |] [| [| 1 |]; [||]; [||] |]);
+      ("sparse", line ~line_size:9 [| 2; 5; 8 |] [| [| 1 |]; [| 0; 2 |]; [||] |]);
+    ]
+  in
+  List.iter
+    (fun (name, net) ->
+      let n = Network.size net in
+      let pairs = Array.init (n * n) (fun i -> (i / n, i mod n)) in
+      let reference = Array.map (fun (src, dst) -> Route.route net ~src ~dst) pairs in
+      List.iter
+        (fun chunk ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s, chunk %d" name chunk)
+            (Array.to_list (Array.map outcome_code reference))
+            (Array.to_list (Array.map outcome_code (Route_batch.run ~jobs:1 ~chunk net ~pairs))))
+        [ 1; 2; 16 ])
+    nets
+
+(* The default budget of a million hops holds in the grouped scan: a
+   route across a bare line of a million and three nodes stops at the
+   budget, where Route.route stops it. *)
+let batch_default_hop_budget () =
+  let n = 1_000_003 in
+  let net = Network.build_ideal ~n ~links:0 (Rng.of_int 1) in
+  let pairs = [| (0, n - 1); (0, 999_999); (n - 1, 2) |] in
+  let reference = Array.map (fun (src, dst) -> Route.route net ~src ~dst) pairs in
+  Alcotest.(check (list string))
+    "grouped outcomes"
+    [ "F1000000@1000000"; "D999999"; "D1000000" ]
+    (Array.to_list (Array.map outcome_code (Ftr_core.Route_batch.run ~jobs:1 net ~pairs)));
+  Alcotest.(check bool) "equal to Route.route" true
+    (Ftr_core.Route_batch.run ~jobs:1 net ~pairs = reference)
+
 (* ------------------------------------------------------------------ *)
 (* Duplicate-entry policy (documented on Network.neighbors)            *)
 (* ------------------------------------------------------------------ *)
@@ -357,6 +480,16 @@ let minor_words_independent_of_hops () =
   Alcotest.(check (float 0.0))
     (Printf.sprintf "index-line terminate: %.0f words for 1 hop, %.0f for %d" one_hop all_hops
        (n - 1))
+    one_hop all_hops;
+  (* One grouped Terminate chunk of eight routes. *)
+  let grouped dst =
+    let pairs = Array.make 8 (0, dst) in
+    measure (fun () -> ignore (Ftr_core.Route_batch.run ~jobs:1 net ~pairs))
+  in
+  let one_hop = grouped 1 and all_hops = grouped (n - 1) in
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "grouped terminate: %.0f words for 8 x 1 hop, %.0f for 8 x %d" one_hop
+       all_hops (n - 1))
     one_hop all_hops
 
 (* The torus and Byzantine routes share the same kernel, so the same
@@ -440,6 +573,12 @@ let () =
             golden_route_outcomes_with_scratch;
           Alcotest.test_case "figure6 fractions (bit-exact)" `Quick golden_figure6;
         ] );
+      ( "batch",
+        [
+          Alcotest.test_case "bad endpoints raise as Route.route" `Quick batch_rejects_bad_endpoints;
+          Alcotest.test_case "tiny networks" `Quick batch_tiny_networks;
+          Alcotest.test_case "default hop budget" `Quick batch_default_hop_budget;
+        ] );
       ( "duplicates",
         [ Alcotest.test_case "random builders keep duplicates" `Quick random_builder_keeps_duplicates ]
       );
@@ -458,6 +597,7 @@ let () =
             prop_csr_roundtrip;
             prop_streaming_equals_materialized;
             prop_batch_jobs_invariant;
+            prop_batch_equals_route;
             prop_duplicate_policy;
           ] );
     ]

@@ -72,14 +72,14 @@ let test_d2_scratch () =
   | fs -> Alcotest.failf "expected exactly one D2 leak, got %d findings" (List.length fs)
 
 (* D2 snapshot typestate: routing an unvalidated load fires at the use
-   site — Route.route, the greedy kernel and the Byzantine router alike;
-   validated and validate:true paths stay silent. *)
+   site — Route.route, the greedy kernel, the Byzantine router and the
+   batch router alike; validated and validate:true paths stay silent. *)
 let test_d2_snapshot () =
   match findings_of "d2_snapshot.ml" with
-  | [ ("D2", 32, m); ("D2", 48, _); ("D2", 53, _) ] ->
+  | [ ("D2", 37, m); ("D2", 53, _); ("D2", 58, _); ("D2", 64, _) ] ->
       Alcotest.(check bool) "message names the validators" true (contains m "Check.snapshot")
   | fs ->
-      Alcotest.failf "expected exactly the three D2 use findings, got %d findings" (List.length fs)
+      Alcotest.failf "expected exactly the four D2 use findings, got %d findings" (List.length fs)
 
 (* D3: the never-headed constructor is reported at its declaration and
    the raw envelope-queue mutation at the mutation site. *)
